@@ -93,7 +93,8 @@ class DiscreteInstance:
     buyers: tuple[tuple[BuyerType, ...], ...]
 
     def __post_init__(self):
-        if not isinstance(self.goods, int) or self.goods < 1:
+        # bool is an int subclass, but JSON true is not a count of goods
+        if type(self.goods) is not int or self.goods < 1:
             raise ValidationError(f"goods must be a positive integer, got {self.goods!r}")
         if not self.buyers:
             raise ValidationError("instance needs at least one buyer")
@@ -210,7 +211,7 @@ def validate_partition(partition: Sequence[Sequence[int]], n: int) -> SetPartiti
         if not block:
             raise ValidationError("partition contains an empty message")
         for i in block:
-            if not isinstance(i, int) or not 0 <= i < n:
+            if type(i) is not int or not 0 <= i < n:
                 raise ValidationError(f"type index {i!r} out of range 0..{n - 1}")
             if i in seen:
                 raise ValidationError(f"type index {i} appears in two messages")
@@ -263,6 +264,23 @@ def enumerate_set_partitions(n: int, guard: int = SET_PARTITION_GUARD) -> Iterat
     yield from rec(1, [[0]])
 
 
+def compositions(n: int) -> Iterator[SetPartition]:
+    """Yield every split of 0..n-1 into consecutive blocks, 2^(n-1) in all.
+
+    Bit pos-1 of the counter cuts before element pos.  The order is fixed
+    because the brute-force oracles break ties toward the first composition.
+    """
+    for cuts in range(2 ** (n - 1)):
+        blocks = []
+        start = 0
+        for pos in range(1, n):
+            if cuts >> (pos - 1) & 1:
+                blocks.append(tuple(range(start, pos)))
+                start = pos
+        blocks.append(tuple(range(start, n)))
+        yield tuple(blocks)
+
+
 def parse_partition_profile(text: str, inst: DiscreteInstance) -> tuple[SetPartition, ...]:
     """Parse the JSON partition document (1-based indices) against an instance."""
     try:
@@ -275,7 +293,7 @@ def parse_partition_profile(text: str, inst: DiscreteInstance) -> tuple[SetParti
     for j, part in enumerate(doc):
         if not isinstance(part, list) or not all(isinstance(b, list) for b in part):
             raise ValidationError(f"buyer {j}: partition must be an array of arrays of indices")
-        shifted = [[i - 1 for i in b if isinstance(i, int)] for b in part]
+        shifted = [[i - 1 for i in b if type(i) is int] for b in part]
         for block, orig in zip(shifted, part):
             if len(block) != len(orig):
                 raise ValidationError(f"buyer {j}: partition indices must be integers")

@@ -23,6 +23,7 @@ from .core import (
     GuardExceeded,
     SetPartition,
     ValidationError,
+    compositions,
     parse_rational,
 )
 
@@ -135,17 +136,10 @@ def brute_force_connected(
     if n > guard:
         raise GuardExceeded(f"{2 ** (n - 1)} compositions of {n} types is over the guard")
     best = None
-    for cuts in range(2 ** (n - 1)):
-        blocks = []
-        start = 0
-        for pos in range(1, n):
-            if cuts >> (pos - 1) & 1:
-                blocks.append(tuple(range(start, pos)))
-                start = pos
-        blocks.append(tuple(range(start, n)))
+    for blocks in compositions(n):
         total = sum((buyer_utility(inst, b)[0] for b in blocks), Fraction(0))
         if best is None or total > best[1]:
-            best = (tuple(blocks), total)
+            best = (blocks, total)
     return best
 
 

@@ -26,6 +26,7 @@ from .core import (
     GuardExceeded,
     SetPartition,
     canonical_partition,
+    compositions,
     condition_on_messages,
     enumerate_set_partitions,
     format_rational,
@@ -84,7 +85,9 @@ class GameEvaluator:
 
     def __init__(self, inst: DiscreteInstance):
         self.instance = inst
-        self._cache: dict[tuple, tuple[Fraction, LPSolution, bool, bool]] = {}
+        # messages -> (prob, solution, prob * revenue, prob * each buyer's
+        # surplus, all sold, efficient), aggregated once per LP solve
+        self._cache: dict[tuple, tuple] = {}
 
     def _solve_messages(self, messages: tuple[tuple[int, ...], ...]):
         hit = self._cache.get(messages)
@@ -95,8 +98,8 @@ class GameEvaluator:
         for mass in cond.masses:
             prob *= mass
         sol = solve_instance(cond.instance)
-        all_sold, efficient = _allocation_flags(sol)
-        entry = (prob, sol, all_sold, efficient)
+        per_buyer = tuple(prob * u for u in sol.mechanism.per_buyer_surplus())
+        entry = (prob, sol, prob * sol.revenue, per_buyer, *_allocation_flags(sol))
         self._cache[messages] = entry
         return entry
 
@@ -111,11 +114,11 @@ class GameEvaluator:
         always_all_sold = True
         efficient = True
         for messages in itertools.product(*profile):
-            prob, sol, sold, eff = self._solve_messages(messages)
+            prob, sol, rev, utilities, sold, eff = self._solve_messages(messages)
             per_message[messages] = (prob, sol)
-            revenue += prob * sol.revenue
-            for j, u in enumerate(sol.mechanism.per_buyer_surplus()):
-                per_buyer[j] += prob * u
+            revenue += rev
+            for j, u in enumerate(utilities):
+                per_buyer[j] += u
             always_all_sold &= sold
             efficient &= eff
         total = sum(per_buyer, Fraction(0))
@@ -152,18 +155,10 @@ def connected_partitions(inst: DiscreteInstance, j: int) -> list[SetPartition]:
     """
     n = inst.n_types(j)
     order = sorted(range(n), key=lambda i: inst.buyers[j][i].values)
-    out = []
-    for cuts in itertools.product((False, True), repeat=n - 1):
-        blocks = []
-        block = [order[0]]
-        for pos, cut in enumerate(cuts, start=1):
-            if cut:
-                blocks.append(block)
-                block = []
-            block.append(order[pos])
-        blocks.append(block)
-        out.append(canonical_partition(blocks))
-    return out
+    return [
+        canonical_partition([order[i] for i in block] for block in blocks)
+        for blocks in compositions(n)
+    ]
 
 
 def search_profiles(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .core import (
@@ -56,74 +56,56 @@ class Mechanism:
     q: tuple[tuple[tuple[Fraction, ...], ...], ...]
     r: tuple[tuple[Fraction, ...], ...]
 
-    def type_utility(self, t: int, j: int) -> Fraction:
-        jt = joint_types(self.instance)[t]
-        values = self.instance.buyers[j][jt[j]].values
-        gained = sum((v * qq for v, qq in zip(values, self.q[t][j])), Fraction(0))
-        return gained - self.r[t][j]
+    @cached_property
+    def _table(self) -> tuple[tuple[tuple[int, ...], Fraction, tuple[Fraction, ...]], ...]:
+        """Per joint type: the type vector, its prior weight, each buyer's ex-post utility.
+
+        Built on the first aggregate call, so a malformed mechanism still
+        reaches ``verify_mechanism``'s own dimension checks.
+        """
+        inst = self.instance
+        rows = []
+        for t, jt in enumerate(joint_types(inst)):
+            utilities = tuple(
+                sum((v * qq for v, qq in zip(inst.buyers[j][i].values, self.q[t][j])), Fraction(0))
+                - self.r[t][j]
+                for j, i in enumerate(jt)
+            )
+            rows.append((jt, joint_prob(inst, jt), utilities))
+        return tuple(rows)
 
     def revenue(self) -> Fraction:
-        inst = self.instance
         return sum(
-            (joint_prob(inst, jt) * sum(self.r[t], Fraction(0))
-             for t, jt in enumerate(joint_types(inst))),
+            (w * sum(r, Fraction(0)) for (_, w, _), r in zip(self._table, self.r)),
             Fraction(0),
         )
 
     def buyer_surplus(self) -> Fraction:
-        inst = self.instance
-        return sum(
-            (joint_prob(inst, jt)
-             * sum((self.type_utility(t, j) for j in range(inst.n_buyers)), Fraction(0))
-             for t, jt in enumerate(joint_types(inst))),
-            Fraction(0),
-        )
+        return sum((w * sum(u, Fraction(0)) for _, w, u in self._table), Fraction(0))
 
     def per_buyer_surplus(self) -> tuple[Fraction, ...]:
-        inst = self.instance
-        out = [Fraction(0)] * inst.n_buyers
-        for t, jt in enumerate(joint_types(inst)):
-            w = joint_prob(inst, jt)
-            for j in range(inst.n_buyers):
-                out[j] += w * self.type_utility(t, j)
+        out = [Fraction(0)] * self.instance.n_buyers
+        for _, w, u in self._table:
+            for j, uj in enumerate(u):
+                out[j] += w * uj
         return tuple(out)
 
     def interim_utilities(self) -> tuple[tuple[Fraction, ...], ...]:
         """Expected utility of each buyer type, conditioned on being that type."""
-        inst = self.instance
-        out = []
-        for j in range(inst.n_buyers):
-            per_type = [Fraction(0)] * inst.n_types(j)
-            for t, jt in enumerate(joint_types(inst)):
-                w = joint_prob(inst, jt) / inst.buyers[j][jt[j]].prob
-                per_type[jt[j]] += w * self.type_utility(t, j)
-            out.append(tuple(per_type))
-        return tuple(out)
+        buyers = self.instance.buyers
+        out = [[Fraction(0)] * len(prior) for prior in buyers]
+        for jt, w, u in self._table:
+            for j, i in enumerate(jt):
+                out[j][i] += w / buyers[j][i].prob * u[j]
+        return tuple(tuple(per_type) for per_type in out)
 
     def unsold_probability(self, k: int) -> Fraction:
         """Prior probability that good k stays with the seller."""
-        inst = self.instance
         return sum(
-            (joint_prob(inst, jt)
-             * (1 - sum((self.q[t][j][k] for j in range(inst.n_buyers)), Fraction(0)))
-             for t, jt in enumerate(joint_types(inst))),
+            (w * (1 - sum((qj[k] for qj in q), Fraction(0)))
+             for (_, w, _), q in zip(self._table, self.q)),
             Fraction(0),
         )
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Basis data from the two solve stages, enough to re-derive optimality.
-
-    ``fixed_zero`` lists the LP columns pinned to zero between the stages;
-    they carry strictly negative reduced cost at the revenue optimum, which
-    is exactly what makes stage 2 stay on the revenue-optimal face.
-    """
-
-    revenue_basis: tuple[int, ...]
-    surplus_basis: tuple[int, ...]
-    fixed_zero: tuple[int, ...]
-    pivots: int
 
 
 @dataclass(frozen=True)
@@ -131,7 +113,6 @@ class LPSolution:
     mechanism: Mechanism
     revenue: Fraction
     buyer_surplus: Fraction
-    certificate: Certificate
 
 
 class LpSystem:
@@ -274,13 +255,7 @@ def solve_lexicographic(system: LpSystem) -> LPSolution:
             "stage 2 drifted off the revenue optimum: "
             f"{format_rational(revenue)} != {format_rational(stage1.objective)}"
         )
-    fixed = tuple(sorted(system.lp.fixed_columns))
-    return LPSolution(
-        mechanism=mech,
-        revenue=revenue,
-        buyer_surplus=stage2.objective,
-        certificate=Certificate(stage1.basis, stage2.basis, fixed, stage2.pivots),
-    )
+    return LPSolution(mechanism=mech, revenue=revenue, buyer_surplus=stage2.objective)
 
 
 def solve_instance(inst: DiscreteInstance, variable_budget: int = DEFAULT_VARIABLE_BUDGET) -> LPSolution:
@@ -300,7 +275,9 @@ def verify_mechanism(inst: DiscreteInstance, mech: Mechanism) -> VerificationRep
 
     Independent of the solver on purpose: it loops over supply, IR, and all
     IC pairs and reports the first violation it finds, or the exact revenue
-    and buyer surplus if there is none.
+    and buyer surplus if there is none.  Every utility, the revenue and the
+    surplus come from ``inst`` and the mechanism's q and r alone, never from
+    the mechanism's own aggregates, which read ``mech.instance``.
     """
     jts = joint_types(inst)
     if mech.instance is not inst and joint_types(mech.instance) != jts:
@@ -317,6 +294,13 @@ def verify_mechanism(inst: DiscreteInstance, mech: Mechanism) -> VerificationRep
     def fail(msg: str) -> VerificationReport:
         return VerificationReport(False, msg, None, None)
 
+    def utility(values: Sequence[Fraction], t: int, j: int) -> Fraction:
+        return sum((v * qq for v, qq in zip(values, mech.q[t][j])), Fraction(0)) - mech.r[t][j]
+
+    weights = []
+    truthful = []
+    revenue = Fraction(0)
+    surplus = Fraction(0)
     for t, jt in enumerate(jts):
         for j in range(inst.n_buyers):
             if mech.r[t][j] < 0:
@@ -330,36 +314,38 @@ def verify_mechanism(inst: DiscreteInstance, mech: Mechanism) -> VerificationRep
             total = sum((mech.q[t][j][k] for j in range(inst.n_buyers)), Fraction(0))
             if total > 1:
                 return fail(f"good {k + 1} oversold at joint type {jt}")
+        u = tuple(utility(inst.buyers[j][i].values, t, j) for j, i in enumerate(jt))
         for j in range(inst.n_buyers):
-            if mech.type_utility(t, j) < 0:
+            if u[j] < 0:
                 return fail(f"IR violated at joint type {jt} for buyer {j + 1}")
+        w = joint_prob(inst, jt)
+        weights.append(w)
+        truthful.append(u)
+        revenue += w * sum(mech.r[t], Fraction(0))
+        surplus += w * sum(u, Fraction(0))
     slot = {jt: t for t, jt in enumerate(jts)}
     for j in range(inst.n_buyers):
         nj = inst.n_types(j)
-        truthful = [Fraction(0)] * nj
+        interim = [Fraction(0)] * nj
         gains: dict[tuple[int, int], Fraction] = {}
         for t, jt in enumerate(jts):
-            w = joint_prob(inst, jt)
+            w = weights[t]
             i = jt[j]
-            truthful[i] += w * mech.type_utility(t, j)
+            interim[i] += w * truthful[t][j]
             values = inst.buyers[j][i].values
             for i2 in range(nj):
                 if i2 == i:
                     continue
                 d = list(jt)
                 d[j] = i2
-                td = slot[tuple(d)]
-                deviant = (
-                    sum((v * qq for v, qq in zip(values, mech.q[td][j])), Fraction(0))
-                    - mech.r[td][j]
-                )
+                deviant = utility(values, slot[tuple(d)], j)
                 gains[(i, i2)] = gains.get((i, i2), Fraction(0)) + w * deviant
         for (i, i2), dev in gains.items():
-            if dev > truthful[i]:
+            if dev > interim[i]:
                 return fail(
                     f"IC violated for buyer {j + 1}: type {i + 1} gains by reporting {i2 + 1}"
                 )
-    return VerificationReport(True, None, mech.revenue(), mech.buyer_surplus())
+    return VerificationReport(True, None, revenue, surplus)
 
 
 def posted_menu_view(sol: LPSolution) -> str:

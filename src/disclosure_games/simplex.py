@@ -12,9 +12,6 @@ columns with strictly negative reduced cost are frozen at zero, which
 pins the stage objective to its optimum exactly (the reduced-cost
 identity holds over the whole feasible set), and the next objective is
 re-priced on the same basis.
-
-If gmpy2 is installed its rationals are used internally for speed;
-results are always plain fractions.Fraction.
 """
 
 from __future__ import annotations
@@ -24,11 +21,6 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .core import GuardExceeded, ValidationError
-
-try:  # pragma: no cover - exercised implicitly by the chosen backend
-    from gmpy2 import mpq as _NUM
-except ImportError:  # pragma: no cover
-    _NUM = Fraction
 
 _BLAND_TRIGGER = 40
 
@@ -41,15 +33,10 @@ class LpUnbounded(RuntimeError):
     pass
 
 
-def _to_fraction(x) -> Fraction:
-    return Fraction(int(x.numerator), int(x.denominator))
-
-
 @dataclass(frozen=True)
 class SimplexResult:
     objective: Fraction
     values: tuple[Fraction, ...]
-    basis: tuple[int, ...]
     pivots: int
 
 
@@ -72,28 +59,23 @@ class ExactSimplex:
         for j, v in items:
             if not 0 <= j < self.n_vars:
                 raise ValidationError(f"variable index {j} out of range")
-            v = _NUM(v)
+            v = Fraction(v)
             if v != 0:
                 out[j] = v
         return out
 
     def add_le(self, coeffs, rhs):
-        self._constraints.append((self._coeffs(coeffs), "<=", _NUM(rhs)))
+        self._constraints.append((self._coeffs(coeffs), "<=", Fraction(rhs)))
 
     def add_ge(self, coeffs, rhs):
-        self._constraints.append((self._coeffs(coeffs), ">=", _NUM(rhs)))
+        self._constraints.append((self._coeffs(coeffs), ">=", Fraction(rhs)))
 
     def add_eq(self, coeffs, rhs):
-        self._constraints.append((self._coeffs(coeffs), "==", _NUM(rhs)))
+        self._constraints.append((self._coeffs(coeffs), "==", Fraction(rhs)))
 
     @property
     def n_constraints(self) -> int:
         return len(self._constraints)
-
-    @property
-    def fixed_columns(self) -> frozenset[int]:
-        """Columns pinned to zero (artificials plus earlier-stage requirements)."""
-        return frozenset(getattr(self, "_forbidden", frozenset()))
 
     # -- tableau construction ------------------------------------------------
 
@@ -104,7 +86,6 @@ class ExactSimplex:
         basis: list[int] = []
         next_col = self.n_vars
         artificials: list[int] = []
-        zero = _NUM(0)
         for coeffs, sense, b in self._constraints:
             row = dict(coeffs)
             if sense == ">=":
@@ -112,7 +93,7 @@ class ExactSimplex:
                 b = -b
                 sense = "<="
             if sense == "<=" and b >= 0:
-                row[next_col] = _NUM(1)  # slack, basic
+                row[next_col] = Fraction(1)  # slack, basic
                 basis.append(next_col)
                 next_col += 1
             else:
@@ -120,9 +101,9 @@ class ExactSimplex:
                     row = {j: -v for j, v in row.items()}
                     b = -b
                     if sense == "<=":  # now a >= row: add surplus
-                        row[next_col] = _NUM(-1)
+                        row[next_col] = Fraction(-1)
                         next_col += 1
-                row[next_col] = _NUM(1)  # artificial, basic
+                row[next_col] = Fraction(1)  # artificial, basic
                 basis.append(next_col)
                 artificials.append(next_col)
                 next_col += 1
@@ -135,7 +116,7 @@ class ExactSimplex:
         self._pivots = 0
         self._forbidden: set[int] = set()
         if artificials:
-            goal = {j: _NUM(-1) for j in artificials}
+            goal = {j: Fraction(-1) for j in artificials}
             gamma, value = self._price(goal)
             value, _ = self._optimize(gamma, value)
             if value != 0:
@@ -166,7 +147,7 @@ class ExactSimplex:
     def _price(self, objective: dict):
         """Express an objective over the current basis: z = value + sum(gamma x)."""
         gamma = dict(objective)
-        value = _NUM(0)
+        value = Fraction(0)
         for r, col in enumerate(self._basis):
             f = gamma.pop(col, None)
             if f is None or f == 0:
@@ -247,7 +228,7 @@ class ExactSimplex:
             return None
         f = gamma.pop(col, None)
         if f is None or f == 0:
-            return _NUM(0)
+            return Fraction(0)
         for j, v in items:
             if j == col:
                 continue
@@ -285,7 +266,7 @@ class ExactSimplex:
         values = [Fraction(0)] * self.n_vars
         for r, col in enumerate(self._basis):
             if col < self.n_vars:
-                values[col] = _to_fraction(self._rhs[r])
+                values[col] = self._rhs[r]
         return tuple(values)
 
     # -- public solves ---------------------------------------------------------
@@ -306,9 +287,8 @@ class ExactSimplex:
             value, gamma = self._optimize(gamma, value)
             results.append(
                 SimplexResult(
-                    objective=_to_fraction(value),
+                    objective=value,
                     values=self._extract(),
-                    basis=tuple(self._basis),
                     pivots=self._pivots,
                 )
             )

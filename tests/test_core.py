@@ -127,6 +127,8 @@ class TestSetPartitions:
             validate_partition([[0], [2]], 3)
         with pytest.raises(ValidationError):
             validate_partition([[0], []], 1)
+        with pytest.raises(ValidationError):
+            validate_partition([[True], [0]], 2)
 
 
 class TestConditioning:

@@ -135,7 +135,7 @@ class TestSingleBuyerMenus:
         )
         from disclosure_games.lpmech import LPSolution
 
-        fake = LPSolution(zero, F(0), F(0), sol.certificate)
+        fake = LPSolution(zero, F(0), F(0))
         assert posted_menu_view(fake) == "empty menu\n"
 
 
@@ -217,6 +217,16 @@ class TestVerification:
         report = verify_mechanism(inst, Mechanism(inst, q, r))
         assert not report.valid
         assert "IC" in report.failure
+
+    def test_checks_against_the_given_instance(self):
+        # solved for values {5, 6}; against values {1, 2} the price 5 breaks IR
+        solved = DiscreteInstance.build(1, [[("1/2", ["5"]), ("1/2", ["6"])]])
+        other = DiscreteInstance.build(1, [[("1/2", ["1"]), ("1/2", ["2"])]])
+        sol = solve_instance(solved)
+        assert sol.revenue == 5
+        report = verify_mechanism(other, sol.mechanism)
+        assert not report.valid
+        assert "IR" in report.failure
 
     def test_dimension_mismatch_raises(self):
         sol = solve_instance(TWO_GOODS_CORRELATED)
