@@ -220,7 +220,7 @@ def cmd_dp(args) -> int:
     inst = SingleBuyerInstance.from_instance(_load_instance(args.instance))
     partition, utility = optimal_connected(inst)
     if args.table:
-        for i, (best, _) in enumerate(dp_table(inst).entries):
+        for i, (best, _) in enumerate(dp_table(inst)):
             print(f"best over first {i} type(s): {format_rational(best)}")
     for block in partition:
         values = ", ".join(format_rational(inst.values[i]) for i in block)
@@ -397,7 +397,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("suite", help="run the acceptance battery")
     p.add_argument("--quick", action="store_true",
-                   help="skip the slow DP, reduction and statistical items")
+                   help="skip the slow reduction and statistical items")
     p.add_argument("--expected", action="store_true",
                    help="echo expected against computed values per item")
     p.set_defaults(func=cmd_suite)

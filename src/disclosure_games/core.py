@@ -41,10 +41,13 @@ def parse_rational(text) -> Fraction:
 
     Fractions, ints, and anything Fraction itself accepts exactly
     (e.g. "118.6" -> 593/5) are allowed; floats are rejected since they
-    carry binary rounding the caller probably does not intend.
+    carry binary rounding the caller probably does not intend, and
+    booleans since JSON true is not a number.
     """
     if isinstance(text, Fraction):
         return text
+    if isinstance(text, bool):
+        raise ValidationError(f"refusing boolean {text!r}; pass a string or Fraction")
     if isinstance(text, int):
         return Fraction(text)
     if isinstance(text, float):
@@ -334,7 +337,7 @@ def condition_on_messages(inst: DiscreteInstance, messages: Sequence[Sequence[in
         idx = tuple(sorted(set(msg)))
         if not idx:
             raise ValidationError(f"buyer {j}: empty message")
-        if len(idx) != len(tuple(msg)) and len(set(msg)) != len(tuple(msg)):
+        if len(idx) != len(msg):
             raise ValidationError(f"buyer {j}: message repeats a type index")
         prior = inst.buyers[j]
         if idx[0] < 0 or idx[-1] >= len(prior):

@@ -7,8 +7,10 @@ of types 1..i extends the best partition of some prefix 1..j by the block
 {j+1..i}.  Utilities are carried as unconditional probability mass, so
 block utilities add without renormalizing.
 
-A brute force over all 2^(n-1) compositions serves as the correctness
-oracle.
+Each call scores every connected block once; the DP and the brute force
+over all 2^(n-1) compositions read that table, but the brute force sums
+and breaks ties on its own, so it checks the recursion and its tie order.
+Tests check ``buyer_utility`` against every candidate price and the LP.
 """
 
 from __future__ import annotations
@@ -44,10 +46,7 @@ class SingleBuyerInstance:
             raise ValidationError("values must be positive")
         if any(a >= b for a, b in zip(self.values, self.values[1:])):
             raise ValidationError("values must be strictly increasing")
-        if any(p <= 0 for p in self.probs):
-            raise ValidationError("probabilities must be positive")
-        if sum(self.probs, Fraction(0)) != 1:
-            raise ValidationError("probabilities must sum to 1")
+        self.to_instance()  # checks the probabilities
 
     @property
     def n(self) -> int:
@@ -56,12 +55,7 @@ class SingleBuyerInstance:
     @staticmethod
     def build(pairs: Sequence[tuple]) -> "SingleBuyerInstance":
         """From (prob, value) pairs in any rational notation, sorted by value."""
-        parsed = sorted(
-            ((parse_rational(v), parse_rational(p)) for p, v in pairs),
-        )
-        return SingleBuyerInstance(
-            tuple(v for v, _ in parsed), tuple(p for _, p in parsed)
-        )
+        return SingleBuyerInstance.from_instance(DiscreteInstance.build(1, [pairs]))
 
     @staticmethod
     def from_instance(inst: DiscreteInstance) -> "SingleBuyerInstance":
@@ -81,50 +75,54 @@ class SingleBuyerInstance:
 def buyer_utility(inst: SingleBuyerInstance, msg: Sequence[int]) -> tuple[Fraction, Fraction]:
     """Utility mass and price when the seller best-responds to one message.
 
-    The seller posts the revenue-maximal price among the message's values;
-    revenue ties go to the lower price, which is the buyer-favorable
-    choice.  The returned utility is unconditional mass (scaled by the
-    message's prior probability), so utilities of disjoint messages add.
+    The seller posts the revenue-maximal price among the message's values,
+    found in one pass from the top value down.  Revenue ties go to the
+    lower price, which serves more mass and so leaves strictly more
+    utility: the largest (revenue, utility) pair.  The returned utility is
+    unconditional mass (scaled by the message's prior probability), so
+    utilities of disjoint messages add.
     """
     idx = sorted(set(msg))
     if not idx:
         raise ValidationError("empty message")
+    if len(idx) != len(msg):
+        raise ValidationError("message repeats a type index")
     if idx[0] < 0 or idx[-1] >= inst.n:
         raise ValidationError("message index out of range")
-    best = None
-    for j in idx:
-        price = inst.values[j]
-        served = [i for i in idx if inst.values[i] >= price]
-        revenue = price * sum((inst.probs[i] for i in served), Fraction(0))
-        utility = sum((inst.probs[i] * (inst.values[i] - price) for i in served), Fraction(0))
-        if best is None or revenue > best[0] or (revenue == best[0] and utility > best[1]):
-            best = (revenue, utility, price)
-    return best[1], best[2]
+    candidates = []
+    mass = weighted = Fraction(0)
+    for i in reversed(idx):
+        price = inst.values[i]
+        mass += inst.probs[i]
+        weighted += inst.probs[i] * price
+        candidates.append((price * mass, weighted - price * mass, price))
+    _, utility, price = max(candidates)
+    return utility, price
 
 
-@dataclass(frozen=True)
-class DPTable:
+def _block_utilities(inst: SingleBuyerInstance) -> dict[tuple[int, ...], Fraction]:
+    """Utility mass of every connected block {j..i-1}, keyed by the block."""
+    blocks = (tuple(range(j, i)) for i in range(1, inst.n + 1) for j in range(i))
+    return {block: buyer_utility(inst, block)[0] for block in blocks}
+
+
+def dp_table(inst: SingleBuyerInstance) -> tuple[tuple[Fraction, SetPartition], ...]:
     """Prefix table: entry i is the best (utility, partition) for types 1..i."""
-
-    entries: tuple[tuple[Fraction, SetPartition], ...]
-
-
-def dp_table(inst: SingleBuyerInstance) -> DPTable:
+    scores = _block_utilities(inst)
     entries: list[tuple[Fraction, SetPartition]] = [(Fraction(0), ())]
     for i in range(1, inst.n + 1):
         best = None
         for j in range(i):
             block = tuple(range(j, i))
-            utility = entries[j][0] + buyer_utility(inst, block)[0]
+            utility = entries[j][0] + scores[block]
             if best is None or utility > best[0]:
                 best = (utility, entries[j][1] + (block,))
         entries.append(best)
-    return DPTable(tuple(entries))
+    return tuple(entries)
 
 
 def optimal_connected(inst: SingleBuyerInstance) -> tuple[SetPartition, Fraction]:
-    table = dp_table(inst)
-    utility, partition = table.entries[inst.n]
+    utility, partition = dp_table(inst)[inst.n]
     return partition, utility
 
 
@@ -135,9 +133,10 @@ def brute_force_connected(
     n = inst.n
     if n > guard:
         raise GuardExceeded(f"{2 ** (n - 1)} compositions of {n} types is over the guard")
+    scores = _block_utilities(inst)
     best = None
     for blocks in compositions(n):
-        total = sum((buyer_utility(inst, b)[0] for b in blocks), Fraction(0))
+        total = sum((scores[b] for b in blocks), Fraction(0))
         if best is None or total > best[1]:
             best = (blocks, total)
     return best

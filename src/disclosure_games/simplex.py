@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .core import GuardExceeded, ValidationError
+from .core import GuardExceeded, ValidationError, parse_rational
 
 _BLAND_TRIGGER = 40
 
@@ -59,19 +59,19 @@ class ExactSimplex:
         for j, v in items:
             if not 0 <= j < self.n_vars:
                 raise ValidationError(f"variable index {j} out of range")
-            v = Fraction(v)
+            v = parse_rational(v)
             if v != 0:
                 out[j] = v
         return out
 
     def add_le(self, coeffs, rhs):
-        self._constraints.append((self._coeffs(coeffs), "<=", Fraction(rhs)))
+        self._constraints.append((self._coeffs(coeffs), "<=", parse_rational(rhs)))
 
     def add_ge(self, coeffs, rhs):
-        self._constraints.append((self._coeffs(coeffs), ">=", Fraction(rhs)))
+        self._constraints.append((self._coeffs(coeffs), ">=", parse_rational(rhs)))
 
     def add_eq(self, coeffs, rhs):
-        self._constraints.append((self._coeffs(coeffs), "==", Fraction(rhs)))
+        self._constraints.append((self._coeffs(coeffs), "==", parse_rational(rhs)))
 
     @property
     def n_constraints(self) -> int:

@@ -32,7 +32,7 @@ class TestRationals:
         assert parse_rational(Fraction(2, 6)) == Fraction(1, 3)
 
     def test_rejects_garbage(self):
-        for bad in ("", "1/0", "a/b", "1.2.3", "1e3", None, [1]):
+        for bad in ("", "1/0", "a/b", "1.2.3", "1e3", None, [1], True, False):
             with pytest.raises(ValidationError):
                 parse_rational(bad)
 

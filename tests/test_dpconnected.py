@@ -29,6 +29,18 @@ def rand_single_buyer(rng: random.Random, max_n: int = 12) -> SingleBuyerInstanc
     )
 
 
+def posted_price_oracle(inst: SingleBuyerInstance, msg) -> tuple[F, F]:
+    """Try every price in the message; revenue ties go to the lower price."""
+    best = None
+    for price in sorted(inst.values[i] for i in msg):
+        served = [i for i in msg if inst.values[i] >= price]
+        revenue = price * sum(inst.probs[i] for i in served)
+        utility = sum(inst.probs[i] * (inst.values[i] - price) for i in served)
+        if best is None or revenue > best[0]:
+            best = (revenue, utility, price)
+    return best[1], best[2]
+
+
 class TestInstanceValidation:
     def test_values_must_increase(self):
         with pytest.raises(ValidationError):
@@ -75,6 +87,10 @@ class TestBuyerUtility:
         with pytest.raises(ValidationError):
             buyer_utility(GAP_HALF, [])
 
+    def test_repeated_index_rejected(self):
+        with pytest.raises(ValidationError):
+            buyer_utility(GAP_HALF, [0, 0, 2])
+
     def test_lowest_price_bounds_utility(self):
         rng = random.Random(321)
         for _ in range(50):
@@ -85,6 +101,22 @@ class TestBuyerUtility:
             lowest = min(inst.values[i] for i in msg)
             cap = sum(inst.probs[i] * (inst.values[i] - lowest) for i in msg)
             assert 0 <= utility <= cap
+
+    def test_matches_every_candidate_price(self):
+        rng = random.Random(606)
+        # equal probabilities on equally spaced values make revenue ties common
+        ties = [
+            SingleBuyerInstance(
+                tuple(F(step * (k + 1)) for k in range(n)), (F(1, n),) * n
+            )
+            for n in range(1, 9)
+            for step in (1, 2, 3)
+        ]
+        randoms = [rand_single_buyer(rng, max_n=9) for _ in range(60)]
+        for inst in ties + randoms:
+            for _ in range(8):
+                msg = rng.sample(range(inst.n), rng.randint(1, inst.n))
+                assert buyer_utility(inst, msg) == posted_price_oracle(inst, msg)
 
 
 class TestDynamicProgram:
@@ -110,7 +142,7 @@ class TestDynamicProgram:
         for _ in range(30):
             inst = rand_single_buyer(rng, max_n=9)
             table = dp_table(inst)
-            utilities = [u for u, _ in table.entries]
+            utilities = [u for u, _ in table]
             assert all(a <= b for a, b in zip(utilities, utilities[1:]))
 
     def test_partition_covers_types_in_order(self):

@@ -76,6 +76,16 @@ class TestBasicSolves:
         with pytest.raises(ValidationError):
             lp.add_le({3: 1}, 1)
 
+    def test_binary_floats_rejected(self):
+        lp = ExactSimplex(1)
+        with pytest.raises(ValidationError):
+            lp.add_le([0.1], 1)
+        with pytest.raises(ValidationError):
+            lp.add_ge({0: 1}, 0.5)
+        lp.add_le({0: 1}, 1)
+        with pytest.raises(ValidationError):
+            lp.solve({0: 0.1})
+
     def test_pivot_cap_raises_guard(self):
         lp = ExactSimplex(3, pivot_cap=1)
         lp.add_le({0: 1}, 1)
