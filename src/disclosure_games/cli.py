@@ -27,12 +27,7 @@ from .core import (
     serialize_instance,
     serialize_partition_profile,
 )
-from .dpconnected import (
-    SingleBuyerInstance,
-    buyer_utility,
-    dp_table,
-    optimal_connected,
-)
+from .dpconnected import SingleBuyerInstance, buyer_utility, dp_table
 from .game import evaluate_profile, search_profiles, search_to_csv
 from .hardness import PartitionProblem, reduce_to_buyer_opt, verify_reduction
 from .lpmech import mechanism_to_csv, posted_menu_view, solve_instance, verify_mechanism
@@ -201,6 +196,8 @@ def cmd_game_eval(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.top < 0:
+        raise ValidationError(f"--top must be nonnegative, got {args.top}")
     inst = _load_instance(args.instance)
     results = search_profiles(inst, connected_only=args.connected_only)
     kind = "connected" if args.connected_only else "all"
@@ -218,9 +215,10 @@ def cmd_search(args) -> int:
 
 def cmd_dp(args) -> int:
     inst = SingleBuyerInstance.from_instance(_load_instance(args.instance))
-    partition, utility = optimal_connected(inst)
+    table = dp_table(inst)
+    utility, partition = table[inst.n]
     if args.table:
-        for i, (best, _) in enumerate(dp_table(inst)):
+        for i, (best, _) in enumerate(table):
             print(f"best over first {i} type(s): {format_rational(best)}")
     for block in partition:
         values = ", ".join(format_rational(inst.values[i]) for i in block)

@@ -378,9 +378,8 @@ class IntervalPartition:
 
     @staticmethod
     def from_string(text: str) -> "IntervalPartition":
-        """Parse comma-separated breakpoints such as "0,1/2,1"."""
-        parts = [p for p in text.split(",") if p.strip()]
-        return IntervalPartition(tuple(parse_rational(p) for p in parts))
+        """Parse comma-separated breakpoints such as "0,1/2,1"; no field may be empty."""
+        return IntervalPartition(tuple(parse_rational(p) for p in text.split(",")))
 
     def blocks(self) -> tuple[tuple[Fraction, Fraction], ...]:
         return tuple(zip(self.breakpoints, self.breakpoints[1:]))

@@ -34,7 +34,7 @@ class PartitionProblem:
     def __post_init__(self):
         if not self.sizes:
             raise ValidationError("need at least one size")
-        if any(not isinstance(s, int) or s < 1 for s in self.sizes):
+        if any(type(s) is not int or s < 1 for s in self.sizes):
             raise ValidationError("sizes must be positive integers")
         if self.total % 2 != 0:
             raise ValidationError(f"sizes sum to {self.total}, which is odd")

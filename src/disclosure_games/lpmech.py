@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .core import (
@@ -30,7 +30,6 @@ from .simplex import ExactSimplex
 DEFAULT_VARIABLE_BUDGET = 50_000
 
 
-@lru_cache(maxsize=256)
 def joint_types(inst: DiscreteInstance) -> tuple[tuple[int, ...], ...]:
     """All joint type index vectors, lexicographic."""
     return tuple(itertools.product(*(range(inst.n_types(j)) for j in range(inst.n_buyers))))
@@ -141,7 +140,6 @@ class LpSystem:
         self.lp = ExactSimplex(n_vars)
         self._probs = tuple(joint_prob(inst, jt) for jt in self.joint_types)
         self._build_rows()
-        self._build_objectives()
 
     def q_index(self, t: int, j: int, k: int) -> int:
         return (t * self._ell + j) * self._m + k
@@ -156,60 +154,51 @@ class LpSystem:
         for t in range(len(self.joint_types)):
             for k in range(m):
                 self.lp.add_le({self.q_index(t, j, k): 1 for j in range(ell)}, 1)
-        # ex-post IR: no type ever pays more than the value it receives
-        for t, jt in enumerate(self.joint_types):
+        # ex-post IR: no type ever pays more than the value it receives; the
+        # same pass over (joint type, buyer) prices revenue and surplus
+        revenue: dict[int, Fraction] = {}
+        surplus: dict[int, Fraction] = {}
+        for t, (jt, w) in enumerate(zip(self.joint_types, self._probs)):
             for j in range(ell):
                 values = inst.buyers[j][jt[j]].values
-                row = {self.q_index(t, j, k): values[k] for k in range(m) if values[k]}
-                row[self.r_index(t, j)] = Fraction(-1)
+                r = self.r_index(t, j)
+                row = {self.q_index(t, j, k): v for k, v in enumerate(values)}
+                row[r] = Fraction(-1)
                 self.lp.add_ge(row, 0)
-        # interim IC: truth beats any single-type misreport in expectation
-        strides = [0] * ell
-        acc = 1
-        for j in range(ell - 1, -1, -1):
-            strides[j] = acc
-            acc *= inst.n_types(j)
+                revenue[r] = w
+                surplus[r] = -w
+                for k, v in enumerate(values):
+                    surplus[self.q_index(t, j, k)] = w * v
+        self.revenue_objective = revenue
+        self.surplus_objective = surplus
+        # interim IC: truth beats any single-type misreport in expectation.
+        # slots[i] lists buyer j's joint types at type i in product order, so
+        # zip pairs each truthful profile with the one where j reports i2.
         for j in range(ell):
-            for i in range(inst.n_types(j)):
+            nj = inst.n_types(j)
+            slots: list[list[int]] = [[] for _ in range(nj)]
+            for t, jt in enumerate(self.joint_types):
+                slots[jt[j]].append(t)
+            for i in range(nj):
                 values = inst.buyers[j][i].values
-                slots = [t for t, jt in enumerate(self.joint_types) if jt[j] == i]
-                for i2 in range(inst.n_types(j)):
+                for i2 in range(nj):
                     if i2 == i:
                         continue
-                    shift = (i2 - i) * strides[j]
-                    row: dict[int, Fraction] = {}
-                    for t in slots:
+                    row = {}
+                    for t, d in zip(slots[i], slots[i2]):
                         w = self._probs[t]
-                        d = t + shift
-                        for k in range(m):
-                            if values[k]:
-                                row[self.q_index(t, j, k)] = row.get(self.q_index(t, j, k), 0) + w * values[k]
-                                row[self.q_index(d, j, k)] = row.get(self.q_index(d, j, k), 0) - w * values[k]
-                        row[self.r_index(t, j)] = row.get(self.r_index(t, j), 0) - w
-                        row[self.r_index(d, j)] = row.get(self.r_index(d, j), 0) + w
-                    self.lp.add_ge({c: v for c, v in row.items() if v}, 0)
+                        for k, v in enumerate(values):
+                            row[self.q_index(t, j, k)] = w * v
+                            row[self.q_index(d, j, k)] = -w * v
+                        row[self.r_index(t, j)] = -w
+                        row[self.r_index(d, j)] = w
+                    self.lp.add_ge(row, 0)
         nt = len(self.joint_types)
         self.counts = {
             "supply": nt * m,
             "ir": nt * ell,
             "ic": sum(inst.n_types(j) * (inst.n_types(j) - 1) for j in range(ell)),
         }
-
-    def _build_objectives(self):
-        inst = self.instance
-        revenue: dict[int, Fraction] = {}
-        surplus: dict[int, Fraction] = {}
-        for t, jt in enumerate(self.joint_types):
-            w = self._probs[t]
-            for j in range(self._ell):
-                values = inst.buyers[j][jt[j]].values
-                revenue[self.r_index(t, j)] = w
-                surplus[self.r_index(t, j)] = -w
-                for k in range(self._m):
-                    if values[k]:
-                        surplus[self.q_index(t, j, k)] = w * values[k]
-        self.revenue_objective = revenue
-        self.surplus_objective = surplus
 
     def extract_mechanism(self, values: Sequence[Fraction]) -> Mechanism:
         q = tuple(
@@ -236,15 +225,16 @@ def uniform_grid_instance(n: int, buyers: int = 2) -> DiscreteInstance:
     Discretizes a U[0, 1] buyer into n equally likely values (2i+1)/(2n);
     used to cross-check the LP against the closed-form auction outcome.
     """
-    if n < 1:
-        raise ValidationError("grid needs at least one point")
+    if type(n) is not int or n < 1 or type(buyers) is not int:
+        raise ValidationError("grid needs a positive integer number of points and of buyers")
     prior = tuple(
         BuyerType(Fraction(1, n), (Fraction(2 * i + 1, 2 * n),)) for i in range(n)
     )
     return DiscreteInstance(1, (prior,) * buyers)
 
 
-def solve_lexicographic(system: LpSystem) -> LPSolution:
+def solve_instance(inst: DiscreteInstance, variable_budget: int = DEFAULT_VARIABLE_BUDGET) -> LPSolution:
+    system = build_lp(inst, variable_budget)
     stage1, stage2 = system.lp.solve_lexicographic(
         [system.revenue_objective, system.surplus_objective]
     )
@@ -256,10 +246,6 @@ def solve_lexicographic(system: LpSystem) -> LPSolution:
             f"{format_rational(revenue)} != {format_rational(stage1.objective)}"
         )
     return LPSolution(mechanism=mech, revenue=revenue, buyer_surplus=stage2.objective)
-
-
-def solve_instance(inst: DiscreteInstance, variable_budget: int = DEFAULT_VARIABLE_BUDGET) -> LPSolution:
-    return solve_lexicographic(build_lp(inst, variable_budget))
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,16 @@ class SimplexResult:
     pivots: int
 
 
+def _subtract(row: dict, f, items) -> None:
+    """row -= f * items, dropping zeros; a basic column's entry of 1 leaves ``row``."""
+    for j, v in items:
+        nv = row.get(j, 0) - f * v
+        if nv:
+            row[j] = nv
+        else:
+            row.pop(j, None)
+
+
 class ExactSimplex:
     """A maximization LP over n nonnegative structural variables."""
 
@@ -149,19 +159,10 @@ class ExactSimplex:
         gamma = dict(objective)
         value = Fraction(0)
         for r, col in enumerate(self._basis):
-            f = gamma.pop(col, None)
-            if f is None or f == 0:
-                continue
-            value += f * self._rhs[r]
-            row = self._rows[r]
-            for j, a in row.items():
-                if j == col:
-                    continue
-                nv = gamma.get(j, 0) - f * a
-                if nv:
-                    gamma[j] = nv
-                else:
-                    gamma.pop(j, None)
+            f = gamma.get(col)
+            if f:
+                value += f * self._rhs[r]
+                _subtract(gamma, f, self._rows[r].items())
         return gamma, value
 
     def _choose_col(self, gamma: dict, bland: bool) -> Optional[int]:
@@ -213,30 +214,17 @@ class ExactSimplex:
             if i == r:
                 continue
             f = row.get(col)
-            if f is None or f == 0:
-                continue
-            for j, v in items:
-                nv = row.get(j, 0) - f * v
-                if nv:
-                    row[j] = nv
-                else:
-                    row.pop(j, None)
-            rhs[i] -= f * rr
+            if f:
+                _subtract(row, f, items)
+                rhs[i] -= f * rr
         self._basis[r] = col
         self._pivots += 1
         if gamma is None:
             return None
-        f = gamma.pop(col, None)
-        if f is None or f == 0:
+        f = gamma.get(col)
+        if not f:
             return Fraction(0)
-        for j, v in items:
-            if j == col:
-                continue
-            nv = gamma.get(j, 0) - f * v
-            if nv:
-                gamma[j] = nv
-            else:
-                gamma.pop(j, None)
+        _subtract(gamma, f, items)
         return f * rr
 
     def _optimize(self, gamma: dict, value):

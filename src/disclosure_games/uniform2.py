@@ -246,7 +246,7 @@ def threshold_partition(t) -> IntervalPartition:
 
 def zeno_partition(depth: int) -> IntervalPartition:
     """Breakpoints 0 < 2^-depth < ... < 1/2 < 1: repeated halving toward zero."""
-    if not isinstance(depth, int) or depth < 0:
+    if type(depth) is not int or depth < 0:
         raise ValidationError("depth must be a nonnegative integer")
     if depth > 64:
         raise ValidationError("depth beyond 64 is numerically pointless")

@@ -81,7 +81,11 @@ class TestEvalUniform:
         assert target.read_text().splitlines()[0] == "a,b,c,d,prob,uA,uB"
 
     def test_malformed_breakpoints_exit_1(self, capsys):
-        code, _, err = run(capsys, "eval-uniform", "--a", "1/2,0", "--b", "0,1")
+        for a in ("1/2,0", "0,,1/2,1", "0,1/2,1,"):
+            code, _, err = run(capsys, "eval-uniform", "--a", a, "--b", "0,1")
+            assert code == 1
+            assert "validation error" in err
+        code, _, err = run(capsys, "zeno", "--b", ",0,1")
         assert code == 1
         assert "validation error" in err
 
@@ -218,6 +222,15 @@ class TestSearch:
         lines = target.read_text().splitlines()
         assert lines[0] == "profile,revenue,u1,u2,total_surplus,always_all_sold,efficient"
         assert len(lines) == 26
+
+    def test_negative_top_exit_1(self, capsys, auction_file):
+        code, _, err = run(capsys, "search", "--instance", auction_file, "--top", "-1")
+        assert code == 1
+        assert "--top" in err
+        code, out, _ = run(capsys, "search", "--instance", auction_file, "--top", "0")
+        assert code == 0
+        assert "searched 25 profiles (all)" in out
+        assert "rank " not in out
 
     def test_connected_only(self, capsys, auction_file):
         code, out, _ = run(capsys, "search", "--instance", auction_file, "--connected-only")

@@ -181,6 +181,11 @@ class TestIntervalPartition:
         with pytest.raises(ValidationError):
             IntervalPartition.from_string("1/4,1")
 
+    def test_empty_fields_rejected(self):
+        for text in ("0,,1/2,1", "0,1/2,1,", ",0,1", "0, ,1"):
+            with pytest.raises(ValidationError):
+                IntervalPartition.from_string(text)
+
     def test_membership_is_half_open_with_zero_in_first(self):
         p = IntervalPartition.from_string("0,1/2,1")
         assert p.block_containing(Fraction(0)) == (Fraction(0), Fraction(1, 2))

@@ -22,6 +22,8 @@ class TestPartitionProblem:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValidationError):
             PartitionProblem((0, 2))
+        with pytest.raises(ValidationError):
+            PartitionProblem((True, True))
 
     def test_total(self):
         assert PartitionProblem((2, 2, 4)).total == 8

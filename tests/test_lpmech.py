@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from disclosure_games.acceptance import AUCTION_123, MENU_FOUR_TYPES
 from disclosure_games.core import (
     BuyerType,
     DiscreteInstance,
@@ -93,6 +94,36 @@ class TestBuildCounts:
     def test_variable_budget(self):
         with pytest.raises(GuardExceeded):
             build_lp(TWO_BUYERS_123, variable_budget=10)
+
+    def test_grid_size_must_be_a_positive_integer(self):
+        for n, buyers in ((0, 2), (True, 2), ("3", 2), (3, True), (3, 0)):
+            with pytest.raises(ValidationError):
+                uniform_grid_instance(n, buyers)
+
+
+class TestPivotSequence:
+    """Cumulative pivots after each lexicographic stage, pinned so that a
+    change to the pivot arithmetic can show it keeps the same pivots."""
+
+    @pytest.mark.parametrize(
+        "inst, pivots",
+        [
+            (uniform_grid_instance(5), (86, 86)),
+            (uniform_grid_instance(4, 3), (226, 226)),
+            (AUCTION_123, (43, 46)),
+            (MENU_FOUR_TYPES, (13, 13)),
+        ],
+        ids=["grid-5", "grid-4-three-buyers", "auction-123", "menu-four-types"],
+    )
+    def test_stage_pivots(self, inst, pivots):
+        system = build_lp(inst)
+        stages = system.lp.solve_lexicographic(
+            [system.revenue_objective, system.surplus_objective]
+        )
+        assert tuple(stage.pivots for stage in stages) == pivots
+
+    def test_grid_five_rows(self):
+        assert build_lp(uniform_grid_instance(5)).lp.n_constraints == 115
 
 
 class TestSingleBuyerMenus:

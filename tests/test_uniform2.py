@@ -258,6 +258,11 @@ class TestZeno:
         assert zeno_partition(2).breakpoints == (F(0), F(1, 4), F(1, 2), F(1))
         assert len(zeno_partition(12).breakpoints) == 14
 
+    def test_depth_must_be_a_nonnegative_integer(self):
+        for depth in (-1, True, "2"):
+            with pytest.raises(ValidationError):
+                zeno_partition(depth)
+
     def test_depth_one_is_the_half_split(self):
         assert zeno_partition(1).breakpoints == HALF.breakpoints
 
