@@ -10,6 +10,7 @@ tripped.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -230,11 +231,11 @@ def cmd_dp(args) -> int:
 
 
 def _sizes(text: str) -> PartitionProblem:
-    try:
-        sizes = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ValidationError(f"sizes must be a comma list of integers: {text!r}") from exc
-    return PartitionProblem(sizes)
+    # int() alone would also take "1_0", "+3" and non-ASCII digits
+    fields = text.split(",")
+    if not all(re.fullmatch(r"\s*[0-9]+\s*", f) for f in fields):
+        raise ValidationError(f"sizes must be a comma list of integers: {text!r}")
+    return PartitionProblem(tuple(int(f) for f in fields))
 
 
 def cmd_reduce(args) -> int:

@@ -60,6 +60,12 @@ def parse_rational(text) -> Fraction:
         raise ValidationError(f"not a rational literal: {text!r}") from exc
 
 
+def require_exact(x, what: str) -> None:
+    """Reject anything but an int or a Fraction: floats round, and bool is an int."""
+    if not (isinstance(x, Fraction) or type(x) is int):
+        raise ValidationError(f"{what} must be an int or a Fraction, got {x!r}")
+
+
 def format_rational(q: Fraction) -> str:
     """Canonical string form: "num/den" in lowest terms, "num" for integers."""
     q = Fraction(q)
@@ -106,6 +112,8 @@ class DiscreteInstance:
                 raise ValidationError(f"buyer {j} has no types")
             total = Fraction(0)
             for i, t in enumerate(prior):
+                for x in (t.prob, *t.values):
+                    require_exact(x, f"buyer {j} type {i}: probability or value")
                 if t.prob <= 0:
                     raise ValidationError(f"buyer {j} type {i}: prob must be positive")
                 if len(t.values) != self.goods:
@@ -369,6 +377,8 @@ class IntervalPartition:
 
     def __post_init__(self):
         bp = self.breakpoints
+        for t in bp:
+            require_exact(t, "breakpoint")
         if len(bp) < 2:
             raise ValidationError("interval partition needs at least two breakpoints")
         if bp[0] != 0 or bp[-1] != 1:
@@ -385,7 +395,7 @@ class IntervalPartition:
         return tuple(zip(self.breakpoints, self.breakpoints[1:]))
 
     def block_containing(self, x: Fraction) -> tuple[Fraction, Fraction]:
-        x = Fraction(x)
+        x = parse_rational(x)
         if not 0 <= x <= 1:
             raise ValidationError(f"value {format_rational(x)} outside [0, 1]")
         for lo, hi in self.blocks():

@@ -42,11 +42,11 @@ class SingleBuyerInstance:
     def __post_init__(self):
         if not self.values or len(self.values) != len(self.probs):
             raise ValidationError("need matching nonempty values and probabilities")
+        self.to_instance()  # checks exactness and the probabilities
         if self.values[0] <= 0:
             raise ValidationError("values must be positive")
         if any(a >= b for a, b in zip(self.values, self.values[1:])):
             raise ValidationError("values must be strictly increasing")
-        self.to_instance()  # checks the probabilities
 
     @property
     def n(self) -> int:

@@ -25,6 +25,7 @@ from .core import (
     DiscreteInstance,
     GuardExceeded,
     SetPartition,
+    ValidationError,
     canonical_partition,
     compositions,
     condition_on_messages,
@@ -105,6 +106,10 @@ class GameEvaluator:
 
     def evaluate(self, profile: Sequence[Sequence[Sequence[int]]]) -> GameOutcome:
         inst = self.instance
+        if len(profile) != inst.n_buyers:
+            raise ValidationError(
+                f"need one partition per buyer ({inst.n_buyers}), got {len(profile)}"
+            )
         profile = tuple(
             validate_partition(part, inst.n_types(j)) for j, part in enumerate(profile)
         )

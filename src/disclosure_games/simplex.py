@@ -122,14 +122,10 @@ class ExactSimplex:
         self._rows = rows
         self._rhs = rhs
         self._basis = basis
-        self._ncols = next_col
         self._pivots = 0
         self._forbidden: set[int] = set()
         if artificials:
-            goal = {j: Fraction(-1) for j in artificials}
-            gamma, value = self._price(goal)
-            value, _ = self._optimize(gamma, value)
-            if value != 0:
+            if self._maximize({j: Fraction(-1) for j in artificials}) != 0:
                 raise LpInfeasible("constraints admit no nonnegative solution")
             self._evict_artificials(set(artificials))
             self._forbidden |= set(artificials)
@@ -150,35 +146,53 @@ class ExactSimplex:
                 del self._rhs[r]
                 del self._basis[r]
             else:
-                self._pivot(r, col, None)
+                self._pivot(r, col)
 
     # -- pricing and pivoting ------------------------------------------------
 
-    def _price(self, objective: dict):
-        """Express an objective over the current basis: z = value + sum(gamma x)."""
-        gamma = dict(objective)
+    def _maximize(self, objective: dict) -> Fraction:
+        """Price ``objective`` on the current basis, then pivot to its optimum.
+
+        Leaves the reduced-cost row in ``_goal`` (z = ``_value`` + sum(goal x)).
+        """
+        goal = self._goal = dict(objective)
         value = Fraction(0)
         for r, col in enumerate(self._basis):
-            f = gamma.get(col)
+            f = goal.get(col)
             if f:
                 value += f * self._rhs[r]
-                _subtract(gamma, f, self._rows[r].items())
-        return gamma, value
+                _subtract(goal, f, self._rows[r].items())
+        self._value = value
+        degenerate_run = 0
+        bland = False
+        while True:
+            col = self._choose_col(bland)
+            if col is None:
+                return self._value
+            r = self._choose_row(col)
+            if r is None:
+                raise LpUnbounded(f"objective unbounded along variable {col}")
+            if self._rhs[r] == 0:
+                degenerate_run += 1
+                if degenerate_run >= _BLAND_TRIGGER:
+                    bland = True
+            else:
+                degenerate_run = 0
+                bland = False
+            self._pivot(r, col)
+            if self._pivots > self.pivot_cap:
+                raise GuardExceeded(f"simplex exceeded {self.pivot_cap} pivots")
 
-    def _choose_col(self, gamma: dict, bland: bool) -> Optional[int]:
+    def _choose_col(self, bland: bool) -> Optional[int]:
+        """Bland: least eligible index; Dantzig: largest reduced cost, ties to the least index."""
         forbidden = self._forbidden
-        best = None
-        if bland:
-            for j, g in gamma.items():
-                if g > 0 and j not in forbidden and (best is None or j < best):
-                    best = j
-            return best
-        best_g = None
-        for j, g in gamma.items():
-            if g > 0 and j not in forbidden:
-                if best_g is None or g > best_g or (g == best_g and j < best):
-                    best_g = g
-                    best = j
+        best = best_g = None
+        for j, g in self._goal.items():
+            if g > 0 and j not in forbidden and (
+                best is None
+                or (j < best if bland else g > best_g or (g == best_g and j < best))
+            ):
+                best, best_g = j, g
         return best
 
     def _choose_row(self, col: int) -> Optional[int]:
@@ -198,7 +212,8 @@ class ExactSimplex:
                 best = r
         return best
 
-    def _pivot(self, r: int, col: int, gamma: Optional[dict]):
+    def _pivot(self, r: int, col: int):
+        """Make ``col`` basic in row r: update every row, then the reduced-cost row."""
         rows = self._rows
         rhs = self._rhs
         rowr = rows[r]
@@ -219,36 +234,10 @@ class ExactSimplex:
                 rhs[i] -= f * rr
         self._basis[r] = col
         self._pivots += 1
-        if gamma is None:
-            return None
-        f = gamma.get(col)
-        if not f:
-            return Fraction(0)
-        _subtract(gamma, f, items)
-        return f * rr
-
-    def _optimize(self, gamma: dict, value):
-        degenerate_run = 0
-        bland = False
-        while True:
-            col = self._choose_col(gamma, bland)
-            if col is None:
-                return value, gamma
-            r = self._choose_row(col)
-            if r is None:
-                raise LpUnbounded(f"objective unbounded along variable {col}")
-            degenerate = self._rhs[r] == 0
-            gain = self._pivot(r, col, gamma)
-            value += gain
-            if degenerate:
-                degenerate_run += 1
-                if degenerate_run >= _BLAND_TRIGGER:
-                    bland = True
-            else:
-                degenerate_run = 0
-                bland = False
-            if self._pivots > self.pivot_cap:
-                raise GuardExceeded(f"simplex exceeded {self.pivot_cap} pivots")
+        f = self._goal.get(col)
+        if f:
+            _subtract(self._goal, f, items)
+            self._value += f * rr
 
     def _extract(self) -> tuple[Fraction, ...]:
         values = [Fraction(0)] * self.n_vars
@@ -269,10 +258,8 @@ class ExactSimplex:
             raise ValidationError("need at least one objective")
         self._build()
         results = []
-        for stage, objective in enumerate(objectives):
-            goal = self._coeffs(objective)
-            gamma, value = self._price(goal)
-            value, gamma = self._optimize(gamma, value)
+        for objective in objectives:
+            value = self._maximize(self._coeffs(objective))
             results.append(
                 SimplexResult(
                     objective=value,
@@ -280,8 +267,7 @@ class ExactSimplex:
                     pivots=self._pivots,
                 )
             )
-            if stage < len(objectives) - 1:
-                self._forbidden |= {j for j, g in gamma.items() if g < 0}
+            self._forbidden |= {j for j, g in self._goal.items() if g < 0}
         return results
 
     def solve(self, objective) -> SimplexResult:

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import IntervalPartition, ValidationError, format_rational
+from .core import (
+    IntervalPartition,
+    ValidationError,
+    format_rational,
+    parse_rational,
+    require_exact,
+)
 from .geometry import clip_halfplane, integrate_linear, rectangle
 
 
@@ -32,6 +38,8 @@ class UniformSegment:
     b: Fraction
 
     def __post_init__(self):
+        require_exact(self.a, "segment endpoint")
+        require_exact(self.b, "segment endpoint")
         if not 0 <= self.a <= self.b:
             raise ValidationError(
                 f"segment [{format_rational(self.a)}, {format_rational(self.b)}] is not ordered"
@@ -50,17 +58,17 @@ class UniformSegment:
 
 
 def segment(a, b) -> UniformSegment:
-    return UniformSegment(Fraction(a), Fraction(b))
+    return UniformSegment(parse_rational(a), parse_rational(b))
 
 
 def virtual_value(v: Fraction, seg: UniformSegment) -> Fraction:
     """Marginal revenue of a uniform posterior on [a, b]: 2v - b."""
-    return 2 * Fraction(v) - seg.b
+    return 2 * parse_rational(v) - seg.b
 
 
 def inverse_virtual(x: Fraction, seg: UniformSegment) -> Fraction:
     """Value whose virtual value is x, i.e. (x + b) / 2."""
-    return (Fraction(x) + seg.b) / 2
+    return (parse_rational(x) + seg.b) / 2
 
 
 @dataclass(frozen=True)
@@ -70,7 +78,7 @@ class AuctionOutcome:
 
 
 def _check_in(seg: UniformSegment, v: Fraction, label: str) -> Fraction:
-    v = Fraction(v)
+    v = parse_rational(v)
     if not seg.a <= v <= seg.b:
         raise ValidationError(f"{label}={format_rational(v)} outside segment {seg}")
     return v
@@ -236,7 +244,7 @@ def surplus_to_csv(out: ProfileSurplus) -> str:
 
 
 def threshold_partition(t) -> IntervalPartition:
-    t = Fraction(t)
+    t = parse_rational(t)
     if not 0 <= t < 1:
         raise ValidationError("threshold must lie in [0, 1)")
     if t == 0:
@@ -280,7 +288,7 @@ class ThresholdSplit:
 
 def threshold_surplus(t) -> ThresholdSplit:
     """Quadrant breakdown for the symmetric one-threshold profile, t in [0, 1/2]."""
-    t = Fraction(t)
+    t = parse_rational(t)
     if not 0 <= t <= Fraction(1, 2):
         raise ValidationError("threshold breakdown is defined for t in [0, 1/2]")
     if t == 0:

@@ -285,6 +285,14 @@ class TestDpAndReduction:
         code, _, err = run(capsys, "reduce", "--sizes", "1,2")
         assert code == 1
 
+    def test_non_decimal_sizes_exit_1(self, capsys):
+        for sizes in ("1_0,1_0", "+1,1", "1,,1", "\u0661,1"):
+            code, _, err = run(capsys, "verify-reduction", "--sizes", sizes)
+            assert code == 1
+            assert "sizes must be a comma list of integers" in err
+        code, out, _ = run(capsys, "verify-reduction", "--sizes", " 1, 1 ")
+        assert code == 0
+
 
 class TestWitnessAndPlot:
     def test_witness_lower_value_wins(self, capsys):

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from disclosure_games.core import (
+    BuyerType,
     DiscreteInstance,
     GuardExceeded,
     IntervalPartition,
@@ -90,6 +91,12 @@ class TestInstanceDocuments:
     def test_rejects_negative_prob(self):
         with pytest.raises(ValidationError):
             DiscreteInstance.build(1, [[("-1/2", ["1"]), ("3/2", ["2"])]])
+
+    def test_rejects_inexact_probs_and_values(self):
+        for prob, value in ((True, True), (1, True), (0.5, 1), (1, 1.0), ("1", 1)):
+            with pytest.raises(ValidationError):
+                DiscreteInstance(1, ((BuyerType(prob, (value,)),),))
+        assert DiscreteInstance(1, ((BuyerType(1, (2,)),),)).buyers[0][0].values == (2,)
 
     def test_rejects_duplicate_value_vectors(self):
         with pytest.raises(ValidationError, match="duplicate"):
@@ -180,6 +187,16 @@ class TestIntervalPartition:
             IntervalPartition.from_string("0,2/3,1/3,1")
         with pytest.raises(ValidationError):
             IntervalPartition.from_string("1/4,1")
+
+    def test_inexact_breakpoints_rejected(self):
+        for bp in ((0.0, 0.5, 1.0), (0, True), (0, "1/2", 1)):
+            with pytest.raises(ValidationError):
+                IntervalPartition(bp)
+        p = IntervalPartition.from_string("0,1/2,1")
+        for x in (0.5, True):
+            with pytest.raises(ValidationError):
+                p.block_containing(x)
+        assert p.block_containing("1/2") == (0, Fraction(1, 2))
 
     def test_empty_fields_rejected(self):
         for text in ("0,,1/2,1", "0,1/2,1,", ",0,1", "0, ,1"):

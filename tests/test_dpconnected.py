@@ -50,6 +50,14 @@ class TestInstanceValidation:
         with pytest.raises(ValidationError):
             SingleBuyerInstance((F(1), F(2)), (F(1, 2), F(1, 3)))
 
+    def test_floats_and_booleans_rejected(self):
+        with pytest.raises(ValidationError):
+            SingleBuyerInstance((1.0, 2.0), (0.5, 0.5))
+        with pytest.raises(ValidationError):
+            SingleBuyerInstance((True,), (True,))
+        with pytest.raises(ValidationError):
+            SingleBuyerInstance(("1", "2"), ("1/2", "1/2"))
+
     def test_build_sorts_by_value(self):
         inst = SingleBuyerInstance.build([("1/2", "5"), ("1/2", "3")])
         assert inst.values == (F(3), F(5))

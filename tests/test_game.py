@@ -7,6 +7,7 @@ from disclosure_games.core import (
     BuyerType,
     DiscreteInstance,
     GuardExceeded,
+    ValidationError,
 )
 from disclosure_games.game import (
     GameEvaluator,
@@ -118,6 +119,12 @@ class TestEvaluateProfile:
         outcome = evaluate_profile(TWO_BUYERS_123, profile)
         assert sum(p for p, _ in outcome.per_message.values()) == 1
         assert outcome.total_surplus == sum(outcome.per_buyer_utility)
+
+    def test_profile_length_must_match_buyers(self):
+        silent = no_disclosure_profile(TWO_BUYERS_123)
+        for profile in (silent * 2, silent[:1], ()):
+            with pytest.raises(ValidationError, match="one partition per buyer"):
+                evaluate_profile(TWO_BUYERS_123, profile)
 
     def test_merging_equivalent_blocks_changes_nothing(self):
         # buyer A never wins, so any refinement of A's messages induces the

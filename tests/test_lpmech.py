@@ -339,6 +339,25 @@ class TestInvariants:
         assert agree >= F(95, 100) * n * n
 
 
+class TestAgainstScipy:
+    def test_revenue_matches_floating_point_solver(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = random.Random(20261018)
+        for _ in range(30):
+            inst = rand_instance(rng)
+            system = build_lp(inst)
+            n = system.lp.n_vars
+            a_ub, b_ub = [], []
+            for coeffs, sense, rhs in system.lp._constraints:
+                sign = {"<=": 1, ">=": -1}[sense]
+                a_ub.append([sign * float(coeffs.get(j, 0)) for j in range(n)])
+                b_ub.append(sign * float(rhs))
+            c = [-float(system.revenue_objective.get(j, 0)) for j in range(n)]
+            ref = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
+            assert ref.status == 0
+            assert abs(-ref.fun - float(solve_instance(inst).revenue)) < 1e-9
+
+
 class TestExport:
     def test_csv_shape_and_values(self):
         sol = solve_instance(TWO_BUYERS_123)

@@ -71,6 +71,17 @@ class TestBasicSolves:
         with pytest.raises(LpUnbounded):
             lp.solve({0: 1, 1: 1})
 
+    def test_basic_artificial_pivots_out(self):
+        # phase 1 ends with the artificial of -2y == 0 basic at zero; it leaves
+        # on a pivot into y instead of its row being dropped, hence 2 pivots
+        lp = ExactSimplex(2)
+        lp.add_eq({1: -2}, 0)
+        lp.add_eq({0: -2, 1: -2}, -1)
+        res = lp.solve({0: 1, 1: 1})
+        assert res.objective == F(1, 2)
+        assert res.values == (F(1, 2), F(0))
+        assert res.pivots == 2
+
     def test_bad_variable_index_rejected(self):
         lp = ExactSimplex(2)
         with pytest.raises(ValidationError):

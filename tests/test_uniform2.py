@@ -109,6 +109,18 @@ class TestMyersonOutcome:
     def test_value_outside_segment_rejected(self):
         with pytest.raises(ValidationError):
             myerson_outcome(segment(0, "1/2"), segment(0, 1), F(3, 4), F(1, 2))
+        for v in (0.25, True):
+            with pytest.raises(ValidationError):
+                myerson_outcome(segment(0, "1/2"), segment(0, 1), v, F(1, 2))
+
+    def test_inexact_segments_rejected(self):
+        for a, b in ((0.1, 0.5), (0, True), (F(0), "1/2")):
+            with pytest.raises(ValidationError):
+                UniformSegment(a, b)
+        for a, b in ((0.1, 0.5), (0, True)):
+            with pytest.raises(ValidationError):
+                segment(a, b)
+        assert segment("1/10", 1) == UniformSegment(F(1, 10), F(1))
 
 
 class TestPairSurplus:
@@ -243,6 +255,11 @@ class TestThresholdFamily:
     def test_outside_range_rejected(self):
         with pytest.raises(ValidationError):
             threshold_surplus(F(2, 3))
+        for t in (0.25, True):
+            with pytest.raises(ValidationError):
+                threshold_surplus(t)
+            with pytest.raises(ValidationError):
+                threshold_partition(t)
 
     def test_matches_profile_surplus(self):
         t = F(1, 3)
