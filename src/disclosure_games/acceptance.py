@@ -526,7 +526,7 @@ CRITERIA: tuple[Criterion, ...] = (
     Criterion(9, "auction disclosure search", 60, True, _auction_disclosure_search),
     Criterion(10, "connected versus unconstrained gap", 10, True, _connected_gap_family),
     Criterion(11, "interval DP against brute force", 60, True, _interval_dp_oracle),
-    Criterion(12, "even-split reduction sweep", 120, False, _reduction_sweep),
+    Criterion(12, "even-split reduction sweep", 120, True, _reduction_sweep),
     Criterion(13, "inefficiency witness replay", 10, True, _witness_replay),
     Criterion(14, "rare low values disclosure regression", 5, True, _rare_lows),
     Criterion(15, "statistical and structural battery", 300, False, _property_battery),

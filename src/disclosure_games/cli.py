@@ -300,6 +300,8 @@ def cmd_suite(args) -> int:
     results = run_suite(quick=args.quick)
     failed = [res for res in results if not res.passed]
     for res in results:
+        print(f"item {res.criterion.number}: {res.elapsed:.1f}s of "
+              f"{res.criterion.budget_seconds:g}s", file=sys.stderr)
         mark = "ok  " if res.passed else "FAIL"
         print(f"{mark} {res.criterion.number:2d} {res.criterion.title}")
         if args.expected:
@@ -396,7 +398,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("suite", help="run the acceptance battery")
     p.add_argument("--quick", action="store_true",
-                   help="skip the slow reduction and statistical items")
+                   help="skip the slow statistical battery (item 15)")
     p.add_argument("--expected", action="store_true",
                    help="echo expected against computed values per item")
     p.set_defaults(func=cmd_suite)

@@ -105,13 +105,21 @@ class DiscreteInstance:
         # bool is an int subclass, but JSON true is not a count of goods
         if type(self.goods) is not int or self.goods < 1:
             raise ValidationError(f"goods must be a positive integer, got {self.goods!r}")
+        if not isinstance(self.buyers, tuple):
+            raise ValidationError(f"buyers must be a tuple of type tuples, got {self.buyers!r}")
         if not self.buyers:
             raise ValidationError("instance needs at least one buyer")
         for j, prior in enumerate(self.buyers):
+            if not isinstance(prior, tuple):
+                raise ValidationError(f"buyer {j} must be a tuple of BuyerType, got {prior!r}")
             if not prior:
                 raise ValidationError(f"buyer {j} has no types")
             total = Fraction(0)
             for i, t in enumerate(prior):
+                if not isinstance(t, BuyerType) or not isinstance(t.values, tuple):
+                    raise ValidationError(
+                        f"buyer {j} type {i} must be a BuyerType with a tuple of values, got {t!r}"
+                    )
                 for x in (t.prob, *t.values):
                     require_exact(x, f"buyer {j} type {i}: probability or value")
                 if t.prob <= 0:

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .core import parse_rational
+
 Point = tuple[Fraction, Fraction]
 
 
 def rectangle(x0, x1, y0, y1) -> list[Point]:
-    x0, x1, y0, y1 = (Fraction(v) for v in (x0, x1, y0, y1))
+    x0, x1, y0, y1 = (parse_rational(v) for v in (x0, x1, y0, y1))
     return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
 
 
@@ -23,7 +25,7 @@ def clip_halfplane(poly: list[Point], a, b, c) -> list[Point]:
     Standard two-pointer boundary walk: vertices on the keep side survive,
     and each crossing edge contributes its exact intersection point.
     """
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    a, b, c = parse_rational(a), parse_rational(b), parse_rational(c)
     if not poly:
         return []
     out: list[Point] = []
@@ -67,7 +69,7 @@ def integrate_linear(poly: list[Point], const, cx, cy) -> Fraction:
     """
     if len(poly) < 3:
         return Fraction(0)
-    const, cx, cy = Fraction(const), Fraction(cx), Fraction(cy)
+    const, cx, cy = parse_rational(const), parse_rational(cx), parse_rational(cy)
     p0 = poly[0]
     f0 = const + cx * p0[0] + cy * p0[1]
     total = Fraction(0)

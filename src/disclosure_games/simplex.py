@@ -7,6 +7,15 @@ per constraint) but the algorithm is the plain tableau method: Dantzig
 pricing while it makes progress, switching to Bland's rule whenever
 degenerate pivots pile up, which guarantees termination.
 
+The tableau holds no Fraction.  Each row is a dict of int numerators and
+an int right-hand side over one positive int denominator, and the
+reduced-cost row shares one positive denominator with its value; a gcd
+pass after every update keeps each touched row primitive (the
+integer-preserving elimination of Bareiss 1968 and QSopt_ex).  Every
+entry is the same rational the Fraction tableau would hold, so every
+pivot choice is the same.  Fractions appear only at the boundary: the
+coefficients taken in and the optima and values handed back.
+
 Lexicographic solves reuse one tableau: after each stage the nonbasic
 columns with strictly negative reduced cost are frozen at zero, which
 pins the stage objective to its optimum exactly (the reduced-cost
@@ -18,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
 from .core import GuardExceeded, ValidationError, parse_rational
@@ -40,14 +50,39 @@ class SimplexResult:
     pivots: int
 
 
-def _subtract(row: dict, f, items) -> None:
-    """row -= f * items, dropping zeros; a basic column's entry of 1 leaves ``row``."""
+def _subtract(row: dict, d: int, f: int, items) -> None:
+    """row = d * row - f * items over ints, keeping key order and dropping zeros.
+
+    Scaling by d != 0 makes no zero, and keys keep their first-insertion
+    order, which is the order artificial eviction scans.
+    """
+    if d != 1:
+        for j in row:
+            row[j] *= d
     for j, v in items:
         nv = row.get(j, 0) - f * v
         if nv:
             row[j] = nv
         else:
             row.pop(j, None)
+
+
+def _primitive(row: dict, num: int, den: int) -> tuple[int, int]:
+    """Divide ``row``, ``num`` and ``den`` by their gcd; return the new num, den."""
+    g = gcd(den, num, *row.values())
+    if g != 1:
+        for j in row:
+            row[j] //= g
+        num //= g
+        den //= g
+    return num, den
+
+
+def _integer_row(coeffs: dict, extra: Fraction) -> tuple[dict, int, int]:
+    """Numerators of ``coeffs`` and ``extra`` over their least common denominator."""
+    den = lcm(extra.denominator, *(v.denominator for v in coeffs.values()))
+    row = {j: v.numerator * (den // v.denominator) for j, v in coeffs.items()}
+    return row, extra.numerator * (den // extra.denominator), den
 
 
 class ExactSimplex:
@@ -92,18 +127,19 @@ class ExactSimplex:
     def _build(self):
         """Assemble rows with slack/artificial columns and run phase 1 if needed."""
         rows: list[dict] = []
-        rhs: list = []
+        rhs: list[int] = []
+        den: list[int] = []
         basis: list[int] = []
         next_col = self.n_vars
         artificials: list[int] = []
         for coeffs, sense, b in self._constraints:
-            row = dict(coeffs)
+            row, b, d = _integer_row(coeffs, b)
             if sense == ">=":
                 row = {j: -v for j, v in row.items()}
                 b = -b
                 sense = "<="
             if sense == "<=" and b >= 0:
-                row[next_col] = Fraction(1)  # slack, basic
+                row[next_col] = d  # slack, basic
                 basis.append(next_col)
                 next_col += 1
             else:
@@ -111,16 +147,18 @@ class ExactSimplex:
                     row = {j: -v for j, v in row.items()}
                     b = -b
                     if sense == "<=":  # now a >= row: add surplus
-                        row[next_col] = Fraction(-1)
+                        row[next_col] = -d
                         next_col += 1
-                row[next_col] = Fraction(1)  # artificial, basic
+                row[next_col] = d  # artificial, basic
                 basis.append(next_col)
                 artificials.append(next_col)
                 next_col += 1
             rows.append(row)
             rhs.append(b)
+            den.append(d)
         self._rows = rows
         self._rhs = rhs
+        self._den = den
         self._basis = basis
         self._pivots = 0
         self._forbidden: set[int] = set()
@@ -144,6 +182,7 @@ class ExactSimplex:
             if col is None:
                 del self._rows[r]
                 del self._rhs[r]
+                del self._den[r]
                 del self._basis[r]
             else:
                 self._pivot(r, col)
@@ -153,22 +192,18 @@ class ExactSimplex:
     def _maximize(self, objective: dict) -> Fraction:
         """Price ``objective`` on the current basis, then pivot to its optimum.
 
-        Leaves the reduced-cost row in ``_goal`` (z = ``_value`` + sum(goal x)).
+        Leaves the reduced-cost row in ``_goal`` over ``_goal_den``
+        (z = (``_value`` + sum(goal x)) / ``_goal_den``).
         """
-        goal = self._goal = dict(objective)
-        value = Fraction(0)
-        for r, col in enumerate(self._basis):
-            f = goal.get(col)
-            if f:
-                value += f * self._rhs[r]
-                _subtract(goal, f, self._rows[r].items())
-        self._value = value
+        self._goal, self._value, self._goal_den = _integer_row(objective, Fraction(0))
+        for r in range(len(self._basis)):
+            self._price_out(r)
         degenerate_run = 0
         bland = False
         while True:
             col = self._choose_col(bland)
             if col is None:
-                return self._value
+                return Fraction(self._value, self._goal_den)
             r = self._choose_row(col)
             if r is None:
                 raise LpUnbounded(f"objective unbounded along variable {col}")
@@ -183,6 +218,16 @@ class ExactSimplex:
             if self._pivots > self.pivot_cap:
                 raise GuardExceeded(f"simplex exceeded {self.pivot_cap} pivots")
 
+    def _price_out(self, r: int):
+        """Eliminate row r's basic column from the reduced-cost row."""
+        f = self._goal.get(self._basis[r])
+        if f:
+            d = self._den[r]
+            _subtract(self._goal, d, f, self._rows[r].items())
+            self._value, self._goal_den = _primitive(
+                self._goal, self._value * d + f * self._rhs[r], self._goal_den * d
+            )
+
     def _choose_col(self, bland: bool) -> Optional[int]:
         """Bland: least eligible index; Dantzig: largest reduced cost, ties to the least index."""
         forbidden = self._forbidden
@@ -196,33 +241,43 @@ class ExactSimplex:
         return best
 
     def _choose_row(self, col: int) -> Optional[int]:
-        best = None
-        best_ratio = None
+        """Least ratio rhs / entry over positive entries, ties to the least basic index.
+
+        A row's denominator cancels from its ratio, so ratios compare by
+        cross-multiplying numerators.
+        """
+        best = best_b = best_a = None
         for r, row in enumerate(self._rows):
             a = row.get(col)
             if a is None or a <= 0:
                 continue
-            ratio = self._rhs[r] / a
-            if (
-                best_ratio is None
-                or ratio < best_ratio
-                or (ratio == best_ratio and self._basis[r] < self._basis[best])
+            b = self._rhs[r]
+            if best is None or (
+                b * best_a < best_b * a
+                or (b * best_a == best_b * a and self._basis[r] < self._basis[best])
             ):
-                best_ratio = ratio
-                best = r
+                best, best_b, best_a = r, b, a
         return best
 
     def _pivot(self, r: int, col: int):
-        """Make ``col`` basic in row r: update every row, then the reduced-cost row."""
+        """Make ``col`` basic in row r: update every row, then the reduced-cost row.
+
+        Row r takes its pivot numerator p as denominator (sign moved onto the
+        row), so its entry in ``col`` reads 1; every other row i becomes
+        (N_i p - N_i[col] N_r) / (D_i p).
+        """
         rows = self._rows
         rhs = self._rhs
+        den = self._den
         rowr = rows[r]
-        piv = rowr[col]
-        if piv != 1:
-            inv = 1 / piv
-            rowr = {j: v * inv for j, v in rowr.items()}
-            rows[r] = rowr
-            rhs[r] = rhs[r] * inv
+        p = rowr[col]
+        if p != den[r]:
+            if p < 0:
+                p = -p
+                rowr = rows[r] = {j: -v for j, v in rowr.items()}
+                rhs[r] = -rhs[r]
+            rhs[r], den[r] = _primitive(rowr, rhs[r], p)
+            p = den[r]
         items = tuple(rowr.items())
         rr = rhs[r]
         for i, row in enumerate(rows):
@@ -230,20 +285,17 @@ class ExactSimplex:
                 continue
             f = row.get(col)
             if f:
-                _subtract(row, f, items)
-                rhs[i] -= f * rr
+                _subtract(row, p, f, items)
+                rhs[i], den[i] = _primitive(row, rhs[i] * p - f * rr, den[i] * p)
         self._basis[r] = col
         self._pivots += 1
-        f = self._goal.get(col)
-        if f:
-            _subtract(self._goal, f, items)
-            self._value += f * rr
+        self._price_out(r)
 
     def _extract(self) -> tuple[Fraction, ...]:
         values = [Fraction(0)] * self.n_vars
         for r, col in enumerate(self._basis):
             if col < self.n_vars:
-                values[col] = self._rhs[r]
+                values[col] = Fraction(self._rhs[r], self._den[r])
         return tuple(values)
 
     # -- public solves ---------------------------------------------------------

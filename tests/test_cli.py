@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from disclosure_games.acceptance import CRITERIA
 from disclosure_games.cli import main
 
 AUCTION = json.dumps(
@@ -334,7 +335,25 @@ class TestDispatch:
     def test_suite_quick_skips_slow_items(self, capsys):
         code, out, _ = run(capsys, "suite", "--quick")
         assert code == 0
-        assert "13 passed" in out
+        assert "14 passed" in out
         lines = out.splitlines()
         ran = {int(line.split()[1]) for line in lines if line.startswith("ok")}
-        assert ran == set(range(1, 16)) - {12, 15}
+        assert ran == set(range(1, 16)) - {15}
+
+    def test_suite_reports_time_against_budget_on_stderr(self, capsys):
+        code, out, err = run(capsys, "suite", "--quick")
+        assert code == 0
+        quick = [c for c in CRITERIA if c.in_quick_suite]
+        assert out.splitlines() == (
+            ["# disclosure-games suite --quick"]
+            + [f"ok   {c.number:2d} {c.title}" for c in quick]
+            + [f"{len(quick)} passed"]
+        )
+        timings = err.splitlines()
+        assert len(timings) == len(quick)
+        for c, line in zip(quick, timings):
+            head, budget = line.split(" of ")
+            number, elapsed = head.split(": ")
+            assert number == f"item {c.number}"
+            assert elapsed.endswith("s") and float(elapsed[:-1]) <= c.budget_seconds
+            assert budget == f"{c.budget_seconds:g}s"

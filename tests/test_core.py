@@ -98,6 +98,11 @@ class TestInstanceDocuments:
                 DiscreteInstance(1, ((BuyerType(prob, (value,)),),))
         assert DiscreteInstance(1, ((BuyerType(1, (2,)),),)).buyers[0][0].values == (2,)
 
+    def test_rejects_malformed_shapes(self):
+        for buyers in (((BuyerType(1, 5),),), ((5,),), 5, [(BuyerType(1, (5,)),)]):
+            with pytest.raises(ValidationError):
+                DiscreteInstance(1, buyers)
+
     def test_rejects_duplicate_value_vectors(self):
         with pytest.raises(ValidationError, match="duplicate"):
             DiscreteInstance.build(1, [[("1/2", ["1"]), ("1/2", ["1"])]])

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -203,3 +205,133 @@ class TestAgainstScipy:
             # the exact point must satisfy every row exactly
             for r, b in rows:
                 assert sum(v * res.values[j] for j, v in r.items()) <= b
+
+
+def _random_staged_lp(rng: random.Random):
+    """A small LP with mixed senses, negative and zero right-hand sides, 1-3 stages."""
+    n = rng.randint(1, 5)
+    lp = ExactSimplex(n)
+    for _ in range(rng.randint(1, 5)):
+        coeffs = {
+            j: F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3)))
+            for j in rng.sample(range(n), rng.randint(1, n))
+        }
+        rhs = F(rng.choice((0, rng.randint(-9, 9))), rng.choice((1, 2)))
+        getattr(lp, rng.choice(("add_le", "add_ge", "add_eq")))(coeffs, rhs)
+    stages = [
+        {j: rng.randint(-4, 4) for j in range(n)} for _ in range(rng.randint(1, 3))
+    ]
+    return lp, stages
+
+
+class TestPhaseOneCorpus:
+    """Phase 1, eviction and lexicographic stages on LPs that mechanism LPs never
+    produce: one digest over every outcome, recorded from the Fraction tableau."""
+
+    DIGEST = "a93b8a40ed978c10019e1b6e63c692045bff2eec65223ea49972d8b70c8e34d2"
+
+    def test_outcomes_match_recorded_digest(self):
+        rng = random.Random(6061)
+        digest = hashlib.sha256()
+        for _ in range(1000):
+            lp, stages = _random_staged_lp(rng)
+            try:
+                results = lp.solve_lexicographic(stages)
+            except (LpInfeasible, LpUnbounded) as exc:
+                digest.update(f"{type(exc).__name__}: {exc}\n".encode())
+                continue
+            for res in results:
+                values = ",".join(map(str, res.values))
+                digest.update(f"{res.objective}|{values}|{res.pivots}\n".encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
+def _solve_square(a, b):
+    """Solve a square system by Fraction Gauss-Jordan elimination; None if singular."""
+    n = len(a)
+    m = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if p is None:
+            return None
+        m[c], m[p] = m[p], m[c]
+        inv = 1 / m[c][c]
+        m[c] = [v * inv for v in m[c]]
+        for r in range(n):
+            if r != c and m[r][c] != 0:
+                f = m[r][c]
+                m[r] = [v - f * w for v, w in zip(m[r], m[c])]
+    return [m[r][n] for r in range(n)]
+
+
+def _vertex_optima(n, rows, stages):
+    """Lexicographic optima by enumerating every vertex of a bounded polytope.
+
+    ``rows`` are (coeffs, sense, rhs) with every x_j in [0, 10]; a vertex is a
+    feasible point where n linearly independent constraints are tight.  Every
+    face of a polytope is the hull of its vertices, so filtering the vertices
+    stage by stage gives each lexicographic optimum.  None if infeasible.
+    """
+    halfspaces = []  # (a, b) meaning a.x <= b
+    for coeffs, sense, rhs in rows:
+        a = [F(coeffs.get(j, 0)) for j in range(n)]
+        if sense in ("<=", "=="):
+            halfspaces.append((a, rhs))
+        if sense in (">=", "=="):
+            halfspaces.append(([-v for v in a], -rhs))
+    for j in range(n):
+        unit = [F(int(i == j)) for i in range(n)]
+        halfspaces.append((unit, F(10)))
+        halfspaces.append(([-v for v in unit], F(0)))
+    vertices = set()
+    for tight in itertools.combinations(halfspaces, n):
+        x = _solve_square([a for a, _ in tight], [b for _, b in tight])
+        if x is not None and all(
+            sum(v * w for v, w in zip(a, x)) <= b for a, b in halfspaces
+        ):
+            vertices.add(tuple(x))
+    if not vertices:
+        return None
+    optima = []
+    for obj in stages:
+        score = {x: sum(F(obj.get(j, 0)) * x[j] for j in range(n)) for x in vertices}
+        best = max(score.values())
+        optima.append(best)
+        vertices = {x for x in vertices if score[x] == best}
+    return optima
+
+
+class TestAgainstVertexEnumeration:
+    def test_tiny_boxed_lps_match_every_basis_oracle(self):
+        rng = random.Random(4242)
+        solved = infeasible = 0
+        for _ in range(300):
+            n = rng.randint(1, 3)
+            rows = []
+            for _ in range(rng.randint(1, 3)):
+                coeffs = {j: F(rng.randint(-4, 4), rng.choice((1, 2))) for j in range(n)}
+                rows.append((coeffs, rng.choice(("<=", ">=", "==")), F(rng.randint(-6, 8))))
+            rows += [({j: 1}, "<=", F(10)) for j in range(n)]
+            stages = [
+                {j: rng.randint(-3, 3) for j in range(n)} for _ in range(rng.randint(1, 2))
+            ]
+            lp = ExactSimplex(n)
+            add = {"<=": lp.add_le, ">=": lp.add_ge, "==": lp.add_eq}
+            for coeffs, sense, rhs in rows:
+                add[sense](coeffs, rhs)
+            expected = _vertex_optima(n, rows, stages)
+            if expected is None:
+                infeasible += 1
+                with pytest.raises(LpInfeasible):
+                    lp.solve_lexicographic(stages)
+                continue
+            solved += 1
+            results = lp.solve_lexicographic(stages)
+            assert [res.objective for res in results] == expected
+            x = results[-1].values
+            for coeffs, sense, rhs in rows:
+                lhs = sum(F(v) * x[j] for j, v in coeffs.items())
+                assert {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[sense]
+            for res, obj in zip(results, stages):
+                assert sum(F(obj.get(j, 0)) * x[j] for j in range(n)) == res.objective
+        assert solved > 50 and infeasible > 50

@@ -4,7 +4,12 @@ from fractions import Fraction
 import pytest
 
 from disclosure_games.core import IntervalPartition, ValidationError
-from disclosure_games.geometry import polygon_area
+from disclosure_games.geometry import (
+    clip_halfplane,
+    integrate_linear,
+    polygon_area,
+    rectangle,
+)
 from disclosure_games.uniform2 import (
     UniformSegment,
     Witness,
@@ -199,6 +204,24 @@ def _contains(poly, x, y):
         elif s != sign:
             return False
     return True
+
+
+class TestGeometryInputs:
+    def test_floats_and_booleans_rejected(self):
+        square = rectangle(0, 1, 0, 1)
+        for bad in (0.1, True):
+            with pytest.raises(ValidationError):
+                rectangle(0, bad, 0, 1)
+            with pytest.raises(ValidationError):
+                clip_halfplane(square, 1, 0, bad)
+            with pytest.raises(ValidationError):
+                integrate_linear(square, bad, 0, 0)
+
+    def test_exact_inputs_accepted(self):
+        assert rectangle(0, "1/10", 0, 1)[1] == (F(1, 10), F(0))
+        half = clip_halfplane(rectangle(0, 1, 0, 1), F(-1), 0, "-1/2")
+        assert polygon_area(half) == F(1, 2)
+        assert integrate_linear(half, 0, 1, 0) == F(1, 8)
 
 
 class TestProfileSurplus:
