@@ -529,7 +529,7 @@ CRITERIA: tuple[Criterion, ...] = (
     Criterion(12, "even-split reduction sweep", 120, True, _reduction_sweep),
     Criterion(13, "inefficiency witness replay", 10, True, _witness_replay),
     Criterion(14, "rare low values disclosure regression", 5, True, _rare_lows),
-    Criterion(15, "statistical and structural battery", 300, False, _property_battery),
+    Criterion(15, "statistical and structural battery", 300, True, _property_battery),
 )
 
 

@@ -398,7 +398,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("suite", help="run the acceptance battery")
     p.add_argument("--quick", action="store_true",
-                   help="skip the slow statistical battery (item 15)")
+                   help="run only the quick set (today every item)")
     p.add_argument("--expected", action="store_true",
                    help="echo expected against computed values per item")
     p.set_defaults(func=cmd_suite)

@@ -8,6 +8,13 @@ runs a second lexicographic stage that maximizes total buyer surplus among
 the revenue-optimal mechanisms.  Everything is exact rational arithmetic,
 so results like a surplus of 2/9 are literal fractions, not
 approximations.
+
+With one good, IC between types adjacent in value order, in both
+directions, implies IC between every pair (Myerson 1981, "Optimal Auction
+Design"), so for a buyer with distinct values the LP keeps only those
+rows: the same feasible set, hence the same optima, from a smaller LP.
+Several goods, or two types of one buyer with the same value, keep every
+pair.  ``verify_mechanism`` checks every pair regardless.
 """
 
 from __future__ import annotations
@@ -118,8 +125,13 @@ class LpSystem:
     """The seller's LP for one instance: variables q and r, revenue objective.
 
     Variables are laid out as all q (joint type, then buyer, then good)
-    followed by all r (joint type, then buyer).  Constraint counts are kept
-    per kind so callers can sanity-check the build against hand counts.
+    followed by all r (joint type, then buyer).  Interim IC rows cover every
+    ordered pair of a buyer's types, except that with one good and pairwise
+    distinct values they cover only pairs adjacent in value order, both
+    ways (Myerson 1981); a tied value keeps every pair, since adjacent rows
+    do not force a monotone allocation among tied types.  ``counts`` holds
+    the rows built per kind, so callers can sanity-check the build against
+    hand counts.
     """
 
     def __init__(self, inst: DiscreteInstance, variable_budget: int = DEFAULT_VARIABLE_BUDGET):
@@ -174,15 +186,20 @@ class LpSystem:
         # interim IC: truth beats any single-type misreport in expectation.
         # slots[i] lists buyer j's joint types at type i in product order, so
         # zip pairs each truthful profile with the one where j reports i2.
+        # One good and distinct values: adjacent pairs in value order only.
+        n_ic = 0
         for j in range(ell):
-            nj = inst.n_types(j)
+            prior = inst.buyers[j]
+            nj = len(prior)
+            adjacent = m == 1 and len({t.values for t in prior}) == nj
+            rank = {i: r for r, i in enumerate(sorted(range(nj), key=lambda x: prior[x].values))}
             slots: list[list[int]] = [[] for _ in range(nj)]
             for t, jt in enumerate(self.joint_types):
                 slots[jt[j]].append(t)
             for i in range(nj):
-                values = inst.buyers[j][i].values
+                values = prior[i].values
                 for i2 in range(nj):
-                    if i2 == i:
+                    if i2 == i or (adjacent and abs(rank[i] - rank[i2]) != 1):
                         continue
                     row = {}
                     for t, d in zip(slots[i], slots[i2]):
@@ -193,12 +210,9 @@ class LpSystem:
                         row[self.r_index(t, j)] = -w
                         row[self.r_index(d, j)] = w
                     self.lp.add_ge(row, 0)
+                    n_ic += 1
         nt = len(self.joint_types)
-        self.counts = {
-            "supply": nt * m,
-            "ir": nt * ell,
-            "ic": sum(inst.n_types(j) * (inst.n_types(j) - 1) for j in range(ell)),
-        }
+        self.counts = {"supply": nt * m, "ir": nt * ell, "ic": n_ic}
 
     def extract_mechanism(self, values: Sequence[Fraction]) -> Mechanism:
         q = tuple(

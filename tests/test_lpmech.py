@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from disclosure_games.core import (
 from disclosure_games.lpmech import (
     Mechanism,
     build_lp,
+    joint_prob,
     joint_types,
     mechanism_to_csv,
     posted_menu_view,
@@ -53,6 +55,72 @@ TWO_BUYERS_123 = DiscreteInstance.build(
 )
 
 
+def one_good(buyers) -> DiscreteInstance:
+    """A one-good instance from tuples of ``BuyerType``, ties allowed.
+
+    ``DiscreteInstance`` rejects two types of one buyer with the same value,
+    so a buyer with a tied value is set on an instance built around that
+    check: the LP build has to stay exact on any instance it is handed.
+    """
+    buyers = tuple(tuple(prior) for prior in buyers)
+    if all(len({t.values for t in prior}) == len(prior) for prior in buyers):
+        return DiscreteInstance(1, buyers)
+    inst = object.__new__(DiscreteInstance)
+    object.__setattr__(inst, "goods", 1)
+    object.__setattr__(inst, "buyers", buyers)
+    return inst
+
+
+def one_good_corpus(seed: int, count: int) -> list[DiscreteInstance]:
+    """One-good instances with 1-3 buyers of 1-5 types, values out of order,
+    zeros, one-type buyers and (about one buyer in four) a tied value."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        sizes = [rng.randint(1, 5) for _ in range(rng.randint(1, 3))]
+        if math.prod(sizes) > 30:
+            continue
+        buyers = []
+        for n in sizes:
+            weights = [rng.randint(1, 4) for _ in range(n)]
+            values = [F(v, 2) for v in rng.sample(range(0, 16), n)]
+            if n > 1 and rng.random() < 0.25:
+                values[rng.randrange(n)] = values[rng.randrange(n)]
+            buyers.append(
+                [BuyerType(F(w, sum(weights)), (v,)) for w, v in zip(weights, values)]
+            )
+        out.append(one_good(buyers))
+    return out
+
+
+def add_every_ic_row(system, inst: DiscreteInstance) -> None:
+    """Add the IC rows for every pair not adjacent in (value, index) order.
+
+    With the rows the build keeps for adjacent pairs, the LP then holds
+    every interim IC pair, whatever the build did with ties.
+    """
+    jts = joint_types(inst)
+    slot = {jt: t for t, jt in enumerate(jts)}
+    for j, prior in enumerate(inst.buyers):
+        order = sorted(range(len(prior)), key=lambda i: (prior[i].values, i))
+        for a, i in enumerate(order):
+            v = prior[i].values[0]
+            for b, i2 in enumerate(order):
+                if abs(a - b) <= 1:
+                    continue
+                row = {}
+                for t, jt in enumerate(jts):
+                    if jt[j] != i:
+                        continue
+                    d = slot[jt[:j] + (i2,) + jt[j + 1:]]
+                    w = joint_prob(inst, jt)
+                    row[system.q_index(t, j, 0)] = w * v
+                    row[system.q_index(d, j, 0)] = -w * v
+                    row[system.r_index(t, j)] = -w
+                    row[system.r_index(d, j)] = w
+                system.lp.add_ge(row, 0)
+
+
 def rand_instance(rng: random.Random) -> DiscreteInstance:
     goods = rng.randint(1, 2)
     buyers = []
@@ -91,6 +159,25 @@ class TestBuildCounts:
         assert sys.n_q_vars == 4
         assert sys.n_r_vars == 2
 
+    def test_one_good_keeps_adjacent_ic_rows(self):
+        sys = build_lp(uniform_grid_instance(20))
+        assert sys.counts["ic"] == 76
+        assert sys.lp.n_constraints == 1276
+
+    def test_one_good_tied_value_keeps_every_ic_pair(self):
+        sys = build_lp(one_good([[BuyerType(F(1, 4), (F(v),)) for v in (3, 1, 2, 1)]]))
+        assert sys.counts["ic"] == 4 * 3
+
+    def test_several_goods_keep_every_ic_pair(self):
+        assert build_lp(MENU_FOUR_TYPES).counts == {"supply": 8, "ir": 4, "ic": 12}
+        assert build_lp(TWO_GOODS_CORRELATED).counts == {"supply": 4, "ir": 2, "ic": 2}
+
+    def test_counts_add_up_to_the_rows_built(self):
+        for inst in (uniform_grid_instance(6, 3), AUCTION_123, MENU_FOUR_TYPES,
+                     *one_good_corpus(5, 10)):
+            sys = build_lp(inst)
+            assert sum(sys.counts.values()) == sys.lp.n_constraints
+
     def test_variable_budget(self):
         with pytest.raises(GuardExceeded):
             build_lp(TWO_BUYERS_123, variable_budget=10)
@@ -109,8 +196,8 @@ class TestPivotSequence:
         "inst, pivots",
         [
             (uniform_grid_instance(5), (86, 86)),
-            (uniform_grid_instance(4, 3), (226, 226)),
-            (AUCTION_123, (43, 46)),
+            (uniform_grid_instance(4, 3), (222, 222)),
+            (AUCTION_123, (41, 44)),
             (MENU_FOUR_TYPES, (13, 13)),
         ],
         ids=["grid-5", "grid-4-three-buyers", "auction-123", "menu-four-types"],
@@ -123,7 +210,7 @@ class TestPivotSequence:
         assert tuple(stage.pivots for stage in stages) == pivots
 
     def test_grid_five_rows(self):
-        assert build_lp(uniform_grid_instance(5)).lp.n_constraints == 115
+        assert build_lp(uniform_grid_instance(5)).lp.n_constraints == 91
 
 
 class TestSingleBuyerMenus:
@@ -273,6 +360,36 @@ class TestVerification:
             assert report.valid, report.failure
             assert report.revenue == sol.revenue
             assert report.buyer_surplus == sol.buyer_surplus
+
+
+class TestAdjacentIcRows:
+    """One good: the LP with adjacent-pair IC rows has the optima of the LP
+    with every pair, and its mechanism passes the all-pairs verifier."""
+
+    def test_corpus_covers_the_cases(self):
+        corpus = one_good_corpus(20261018, 80)
+        priors = [prior for inst in corpus for prior in inst.buyers]
+        values = [[t.values[0] for t in prior] for prior in priors]
+        assert any(len(set(v)) < len(v) for v in values)
+        assert any(v != sorted(v) for v in values if len(set(v)) == len(v))
+        assert any(0 in v for v in values)
+        assert any(len(v) == 1 for v in values)
+        assert any(inst.n_buyers == 3 for inst in corpus)
+
+    def test_same_optima_as_every_pair(self):
+        for inst in one_good_corpus(20261018, 80):
+            stages = []
+            for full in (False, True):
+                system = build_lp(inst)
+                if full:
+                    add_every_ic_row(system, inst)
+                objectives = [system.revenue_objective, system.surplus_objective]
+                stages.append([s.objective for s in system.lp.solve_lexicographic(objectives)])
+            assert stages[0] == stages[1], inst
+            sol = solve_instance(inst)
+            report = verify_mechanism(inst, sol.mechanism)
+            assert report.valid, (report.failure, inst)
+            assert [report.revenue, report.buyer_surplus] == stages[1]
 
 
 class TestInvariants:
