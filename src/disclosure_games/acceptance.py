@@ -510,26 +510,25 @@ class Criterion:
     number: int
     title: str
     budget_seconds: float
-    in_quick_suite: bool
     run: Callable[[], list[str]]
 
 
 CRITERIA: tuple[Criterion, ...] = (
-    Criterion(1, "silent pair baseline surplus", 1, True, _silent_pair),
-    Criterion(2, "half/half quadrant split", 1, True, _half_half_quadrants),
-    Criterion(3, "half against silent asymmetry", 1, True, _half_versus_silent),
-    Criterion(4, "threshold family closed forms", 1, True, _threshold_family),
-    Criterion(5, "halving cascade at depth 12", 5, True, _halving_cascade),
-    Criterion(6, "exact disclosure against silence", 1, True, _exact_versus_silent),
-    Criterion(7, "posted menu, two types", 1, True, _menu_two_types),
-    Criterion(8, "posted menu, four types", 30, True, _menu_four_types),
-    Criterion(9, "auction disclosure search", 60, True, _auction_disclosure_search),
-    Criterion(10, "connected versus unconstrained gap", 10, True, _connected_gap_family),
-    Criterion(11, "interval DP against brute force", 60, True, _interval_dp_oracle),
-    Criterion(12, "even-split reduction sweep", 120, True, _reduction_sweep),
-    Criterion(13, "inefficiency witness replay", 10, True, _witness_replay),
-    Criterion(14, "rare low values disclosure regression", 5, True, _rare_lows),
-    Criterion(15, "statistical and structural battery", 300, True, _property_battery),
+    Criterion(1, "silent pair baseline surplus", 1, _silent_pair),
+    Criterion(2, "half/half quadrant split", 1, _half_half_quadrants),
+    Criterion(3, "half against silent asymmetry", 1, _half_versus_silent),
+    Criterion(4, "threshold family closed forms", 1, _threshold_family),
+    Criterion(5, "halving cascade at depth 12", 5, _halving_cascade),
+    Criterion(6, "exact disclosure against silence", 1, _exact_versus_silent),
+    Criterion(7, "posted menu, two types", 1, _menu_two_types),
+    Criterion(8, "posted menu, four types", 30, _menu_four_types),
+    Criterion(9, "auction disclosure search", 60, _auction_disclosure_search),
+    Criterion(10, "connected versus unconstrained gap", 10, _connected_gap_family),
+    Criterion(11, "interval DP against brute force", 60, _interval_dp_oracle),
+    Criterion(12, "even-split reduction sweep", 120, _reduction_sweep),
+    Criterion(13, "inefficiency witness replay", 10, _witness_replay),
+    Criterion(14, "rare low values disclosure regression", 5, _rare_lows),
+    Criterion(15, "statistical and structural battery", 300, _property_battery),
 )
 
 
@@ -561,6 +560,5 @@ def run_criterion(criterion: Criterion) -> CriterionResult:
     return CriterionResult(criterion, True, elapsed, tuple(rows))
 
 
-def run_suite(quick: bool = False) -> list[CriterionResult]:
-    picked = [c for c in CRITERIA if c.in_quick_suite or not quick]
-    return [run_criterion(c) for c in picked]
+def run_suite() -> list[CriterionResult]:
+    return [run_criterion(c) for c in CRITERIA]

@@ -297,7 +297,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    results = run_suite(quick=args.quick)
+    results = run_suite()
     failed = [res for res in results if not res.passed]
     for res in results:
         print(f"item {res.criterion.number}: {res.elapsed:.1f}s of "
@@ -397,8 +397,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("suite", help="run the acceptance battery")
-    p.add_argument("--quick", action="store_true",
-                   help="run only the quick set (today every item)")
     p.add_argument("--expected", action="store_true",
                    help="echo expected against computed values per item")
     p.set_defaults(func=cmd_suite)

@@ -1,8 +1,10 @@
 """Exact convex-polygon clipping and integration over rational coordinates.
 
-Supports the uniform-buyer analysis: win regions are rectangles cut by
-half-planes, and every expectation integrand there is linear, so integrals
-reduce to triangle areas and vertex averages with no rounding anywhere.
+Supports the uniform-buyer figures and checks: win regions are rectangles
+cut by half-planes, and every expectation integrand there is linear, so
+integrals reduce to triangle areas and vertex averages with no rounding
+anywhere.  The tests hold the closed-form surplus of ``uniform2`` to these
+polygon integrals.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ def clip_halfplane(poly: list[Point], a, b, c) -> list[Point]:
         return []
     out: list[Point] = []
     n = len(poly)
+    side = [a * x + b * y - c for x, y in poly]
     for i in range(n):
         p, q = poly[i], poly[(i + 1) % n]
-        fp = a * p[0] + b * p[1] - c
-        fq = a * q[0] + b * q[1] - c
+        fp, fq = side[i], side[(i + 1) % n]
         if fp >= 0:
             out.append(p)
         if (fp > 0 and fq < 0) or (fp < 0 and fq > 0):

@@ -2,9 +2,10 @@
 
 Buyer A's value runs along the x axis and buyer B's up the y axis.  For
 each pair of disclosed intervals the three winner regions (A in blue,
-B in green, no sale in gray) are exact polygons from the same clipping
-geometry the surplus integrals use; their rational areas are checked to
-tile the square before anything is converted to float for emission.
+B in green, no sale in gray) are exact polygons clipped from each cell;
+their rational areas are checked to tile the square before anything is
+converted to float for emission.  Surplus itself is a one-dimensional
+closed form in ``uniform2``; the same polygons are the tests' oracle for it.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ lies in, the seller of a single good best-responds with the revenue-optimal
 auction for the disclosed posteriors.  For a uniform posterior on [a, b]
 that auction is characterized by the virtual value 2v - b: the good goes to
 the buyer with the highest nonnegative virtual value, who pays the lowest
-value that would still have won.  Buyer surplus integrates in closed form
-over polygonal win regions, so every number here is an exact rational.
+value that would still have won.  Buyer surplus is a one-dimensional closed
+form per block pair, so every number here is an exact rational.  The
+polygonal win regions draw the figures and serve as the tests' oracle.
 
 A partition block may degenerate to a single point (a buyer who disclosed
 exactly); such a buyer acts as a deterministic outside option for the
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .core import (
@@ -147,8 +149,11 @@ def pair_surplus(seg_a: UniformSegment, seg_b: UniformSegment) -> tuple[Fraction
 
     For a winner on [a, b] the expected payment telescopes against the
     virtual value, leaving utility b - v integrated over the win region.
-    Point masses earn zero; the continuous opponent's win region is then a
-    one-dimensional threshold handled directly.
+    At each own value the winning opponent values form an interval, so
+    that integral is one-dimensional and settles in closed form (see
+    ``_own_utility``); ties have measure zero.  Point masses earn zero; the
+    continuous opponent's win region is then a one-dimensional threshold
+    handled directly.
     """
     if seg_a.is_point_mass and seg_b.is_point_mass:
         return Fraction(0), Fraction(0)
@@ -156,10 +161,35 @@ def pair_surplus(seg_a: UniformSegment, seg_b: UniformSegment) -> tuple[Fraction
         return Fraction(0), _point_vs_uniform(seg_a.a, seg_b)
     if seg_b.is_point_mass:
         return _point_vs_uniform(seg_b.a, seg_a), Fraction(0)
-    scale = seg_a.length * seg_b.length
-    ua = integrate_linear(winner_region(seg_a, seg_b, "A"), seg_a.b, -1, 0) / scale
-    ub = integrate_linear(winner_region(seg_a, seg_b, "B"), seg_b.b, 0, -1) / scale
-    return ua, ub
+    # Measure values in units of 1/den, den even, so every cut point below
+    # is an integer; each utility is then one int over a shared denominator.
+    ends = (seg_a.a, seg_a.b, seg_b.a, seg_b.b)
+    den = 2 * lcm(*(v.denominator for v in ends))
+    a, b, c, d = (v.numerator * (den // v.denominator) for v in ends)
+    scale = 6 * den * (b - a) * (d - c)
+    return Fraction(_own_utility(a, b, c, d), scale), Fraction(_own_utility(c, d, a, b), scale)
+
+
+def _own_utility(a: int, b: int, c: int, d: int) -> int:
+    """Six times the integral of (b - x) over own values x winning against [c, d].
+
+    Own values x on [a, b] win where x >= b/2 and the opponent's value on
+    [c, d] is at most x - (b - d)/2: a y-interval of length
+    clamp(x - k, 0, w) with k = c + (b - d)/2 and w = d - c.  Over
+    [max(a, b/2), b] that is a ramp piece on [k, k + w] and a flat piece of
+    height w above k + w = (b + d)/2.  Needs b and d even.
+    """
+    lo = max(a, b // 2)
+    k = c + (b - d) // 2
+    top = (b + d) // 2
+    total = 0
+    s, e = max(lo, k), min(b, top)
+    if s < e:
+        total += (e - s) * (3 * (b + k) * (e + s) - 6 * b * k - 2 * (e * e + e * s + s * s))
+    s = max(lo, top)
+    if s < b:
+        total += 3 * (d - c) * (b - s) ** 2
+    return total
 
 
 def _point_vs_uniform(point: Fraction, seg: UniformSegment) -> Fraction:

@@ -24,5 +24,3 @@ def test_criterion(criterion):
 
 def test_registry_is_complete_and_ordered():
     assert [c.number for c in CRITERIA] == list(range(1, 16))
-    quick_skipped = [c.number for c in CRITERIA if not c.in_quick_suite]
-    assert quick_skipped == []

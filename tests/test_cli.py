@@ -332,8 +332,8 @@ class TestDispatch:
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
 
-    def test_suite_quick_skips_slow_items(self, capsys):
-        code, out, _ = run(capsys, "suite", "--quick")
+    def test_suite_runs_every_item(self, capsys):
+        code, out, _ = run(capsys, "suite")
         assert code == 0
         assert "15 passed" in out
         lines = out.splitlines()
@@ -341,17 +341,16 @@ class TestDispatch:
         assert ran == set(range(1, 16))
 
     def test_suite_reports_time_against_budget_on_stderr(self, capsys):
-        code, out, err = run(capsys, "suite", "--quick")
+        code, out, err = run(capsys, "suite")
         assert code == 0
-        quick = [c for c in CRITERIA if c.in_quick_suite]
         assert out.splitlines() == (
-            ["# disclosure-games suite --quick"]
-            + [f"ok   {c.number:2d} {c.title}" for c in quick]
-            + [f"{len(quick)} passed"]
+            ["# disclosure-games suite"]
+            + [f"ok   {c.number:2d} {c.title}" for c in CRITERIA]
+            + [f"{len(CRITERIA)} passed"]
         )
         timings = err.splitlines()
-        assert len(timings) == len(quick)
-        for c, line in zip(quick, timings):
+        assert len(timings) == len(CRITERIA)
+        for c, line in zip(CRITERIA, timings):
             head, budget = line.split(" of ")
             number, elapsed = head.split(": ")
             assert number == f"item {c.number}"

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disclosure_games.core import IntervalPartition, ValidationError
 from disclosure_games.geometry import (
@@ -155,6 +157,40 @@ class TestPairSurplus:
     def test_degenerate_threshold_clamps_at_bottom(self):
         # point at 0 vs U[3/4, 1]: every type wins and pays 3/4
         assert pair_surplus(segment(0, 0), segment("3/4", 1)) == (F(0), F(1, 8))
+
+    def test_matches_polygon_integrals(self):
+        # the polygon path is the independent reference for the closed form
+        def polygon_surplus(sa, sb):
+            scale = sa.length * sb.length
+            ua = integrate_linear(winner_region(sa, sb, "A"), sa.b, -1, 0) / scale
+            ub = integrate_linear(winner_region(sa, sb, "B"), sb.b, 0, -1) / scale
+            return ua, ub
+
+        pairs = []
+        for n in (2, 4, 8):
+            segs = [segment(F(i, n), F(j, n)) for i in range(n) for j in range(i + 1, n + 1)]
+            pairs += [(sa, sb) for sa in segs for sb in segs]
+        rng = random.Random(41)
+        for _ in range(2000):
+            a, b, c, d = (rand_fraction(rng, den=rng.choice((3, 7, 10, 2**30))) for _ in range(4))
+            if a != b and c != d:
+                pairs.append((segment(min(a, b), max(a, b)), segment(min(c, d), max(c, d))))
+        for sa, sb in pairs:
+            assert pair_surplus(sa, sb) == polygon_surplus(sa, sb), (sa, sb)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.fractions(0, 1, max_denominator=64), min_size=4, max_size=4),
+        st.booleans(),
+        st.booleans(),
+        st.fractions(F(1, 1000), 1000, max_denominator=1000),
+    )
+    def test_scaling_both_segments_scales_utilities(self, ends, point_a, point_b, s):
+        a, b, c, d = ends
+        sa = segment(min(a, b), min(a, b) if point_a else max(a, b))
+        sb = segment(min(c, d), min(c, d) if point_b else max(c, d))
+        scaled = pair_surplus(segment(s * sa.a, s * sa.b), segment(s * sb.a, s * sb.b))
+        assert scaled == tuple(s * u for u in pair_surplus(sa, sb))
 
 
 class TestWinnerRegions:
