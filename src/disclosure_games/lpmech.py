@@ -14,7 +14,16 @@ directions, implies IC between every pair (Myerson 1981, "Optimal Auction
 Design"), so for a buyer with distinct values the LP keeps only those
 rows: the same feasible set, hence the same optima, from a smaller LP.
 Several goods, or two types of one buyer with the same value, keep every
-pair.  ``verify_mechanism`` checks every pair regardless.
+pair.
+
+With one buyer as well, adjacent IC in both directions makes the
+allocation q nondecreasing in value, and the utility too, since
+u_i >= u_{i-1} + (v_i - v_{i-1}) q_{i-1}.  So supply at the top-value type
+implies supply everywhere, and IR at the bottom-value type implies IR
+everywhere (with one buyer, ex-post IR is interim IR); the LP keeps only
+those two rows (Myerson 1981; Riley & Zeckhauser 1983, "Optimal selling
+strategies").  ``verify_mechanism`` checks every supply, IR and IC row
+regardless.
 """
 
 from __future__ import annotations
@@ -129,9 +138,13 @@ class LpSystem:
     ordered pair of a buyer's types, except that with one good and pairwise
     distinct values they cover only pairs adjacent in value order, both
     ways (Myerson 1981); a tied value keeps every pair, since adjacent rows
-    do not force a monotone allocation among tied types.  ``counts`` holds
-    the rows built per kind, so callers can sanity-check the build against
-    hand counts.
+    do not force a monotone allocation among tied types.  Supply rows cover
+    every (joint type, good) and IR rows every (joint type, buyer), except
+    for one buyer with one good and distinct values: there the adjacent IC
+    rows make q and utility nondecreasing in value, so only the top-value
+    type's supply row and the bottom-value type's IR row are built.
+    ``counts`` holds the rows built per kind, so callers can sanity-check
+    the build against hand counts.
     """
 
     def __init__(self, inst: DiscreteInstance, variable_budget: int = DEFAULT_VARIABLE_BUDGET):
@@ -162,8 +175,17 @@ class LpSystem:
     def _build_rows(self):
         inst = self.instance
         m, ell = self._m, self._ell
+        nt = len(self.joint_types)
+        orders = [sorted(range(len(prior)), key=lambda i: prior[i].values) for prior in inst.buyers]
+        adjacent = [m == 1 and len({t.values for t in prior}) == len(prior) for prior in inst.buyers]
+        # one buyer, one good, distinct values: adjacent IC makes q and utility
+        # nondecreasing in value, so supply binds only at the top type and IR
+        # only at the bottom one (joint type t is the buyer's type t)
+        supply_at = ir_at = range(nt)
+        if ell == 1 and adjacent[0]:
+            supply_at, ir_at = (orders[0][-1],), (orders[0][0],)
         # supply: each good goes to at most one buyer
-        for t in range(len(self.joint_types)):
+        for t in supply_at:
             for k in range(m):
                 self.lp.add_le({self.q_index(t, j, k): 1 for j in range(ell)}, 1)
         # ex-post IR: no type ever pays more than the value it receives; the
@@ -174,9 +196,10 @@ class LpSystem:
             for j in range(ell):
                 values = inst.buyers[j][jt[j]].values
                 r = self.r_index(t, j)
-                row = {self.q_index(t, j, k): v for k, v in enumerate(values)}
-                row[r] = Fraction(-1)
-                self.lp.add_ge(row, 0)
+                if t in ir_at:
+                    row = {self.q_index(t, j, k): v for k, v in enumerate(values)}
+                    row[r] = Fraction(-1)
+                    self.lp.add_ge(row, 0)
                 revenue[r] = w
                 surplus[r] = -w
                 for k, v in enumerate(values):
@@ -191,15 +214,14 @@ class LpSystem:
         for j in range(ell):
             prior = inst.buyers[j]
             nj = len(prior)
-            adjacent = m == 1 and len({t.values for t in prior}) == nj
-            rank = {i: r for r, i in enumerate(sorted(range(nj), key=lambda x: prior[x].values))}
+            rank = {i: r for r, i in enumerate(orders[j])}
             slots: list[list[int]] = [[] for _ in range(nj)]
             for t, jt in enumerate(self.joint_types):
                 slots[jt[j]].append(t)
             for i in range(nj):
                 values = prior[i].values
                 for i2 in range(nj):
-                    if i2 == i or (adjacent and abs(rank[i] - rank[i2]) != 1):
+                    if i2 == i or (adjacent[j] and abs(rank[i] - rank[i2]) != 1):
                         continue
                     row = {}
                     for t, d in zip(slots[i], slots[i2]):
@@ -211,8 +233,7 @@ class LpSystem:
                         row[self.r_index(d, j)] = w
                     self.lp.add_ge(row, 0)
                     n_ic += 1
-        nt = len(self.joint_types)
-        self.counts = {"supply": nt * m, "ir": nt * ell, "ic": n_ic}
+        self.counts = {"supply": len(supply_at) * m, "ir": len(ir_at) * ell, "ic": n_ic}
 
     def extract_mechanism(self, values: Sequence[Fraction]) -> Mechanism:
         q = tuple(

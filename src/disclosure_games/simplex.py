@@ -21,6 +21,12 @@ columns with strictly negative reduced cost are frozen at zero, which
 pins the stage objective to its optimum exactly (the reduced-cost
 identity holds over the whole feasible set), and the next objective is
 re-priced on the same basis.
+
+Pricing takes one pass.  Basic columns are unit columns, so an
+objective c priced against basic rows R is c - sum over r in R of
+c_B(r) row_r / den_r, computed over the lcm of those rows' denominators
+with one scaling of the reduced-cost row and one gcd pass.  A new stage
+prices against every row; a pivot prices against its pivot row alone.
 """
 
 from __future__ import annotations
@@ -196,8 +202,7 @@ class ExactSimplex:
         (z = (``_value`` + sum(goal x)) / ``_goal_den``).
         """
         self._goal, self._value, self._goal_den = _integer_row(objective, Fraction(0))
-        for r in range(len(self._basis)):
-            self._price_out(r)
+        self._price_out(range(len(self._basis)))
         degenerate_run = 0
         bland = False
         while True:
@@ -218,15 +223,25 @@ class ExactSimplex:
             if self._pivots > self.pivot_cap:
                 raise GuardExceeded(f"simplex exceeded {self.pivot_cap} pivots")
 
-    def _price_out(self, r: int):
-        """Eliminate row r's basic column from the reduced-cost row."""
-        f = self._goal.get(self._basis[r])
-        if f:
-            d = self._den[r]
-            _subtract(self._goal, d, f, self._rows[r].items())
-            self._value, self._goal_den = _primitive(
-                self._goal, self._value * d + f * self._rhs[r], self._goal_den * d
-            )
+    def _price_out(self, rs):
+        """Eliminate the basic columns of rows ``rs`` from the reduced-cost row in one pass.
+
+        Each row's multiplier is the goal entry at its basic column, read
+        before any elimination: no other row has an entry in that column.
+        """
+        goal = self._goal
+        terms = [(r, f) for r in rs if (f := goal.get(self._basis[r]))]
+        if not terms:
+            return
+        scale = lcm(*(self._den[r] for r, _ in terms))
+        value = self._value * scale
+        d = scale  # the first subtraction scales the row by the lcm, once
+        for r, f in terms:
+            f *= scale // self._den[r]
+            _subtract(goal, d, f, self._rows[r].items())
+            value += f * self._rhs[r]
+            d = 1
+        self._value, self._goal_den = _primitive(goal, value, self._goal_den * scale)
 
     def _choose_col(self, bland: bool) -> Optional[int]:
         """Bland: least eligible index; Dantzig: largest reduced cost, ties to the least index."""
@@ -289,7 +304,7 @@ class ExactSimplex:
                 rhs[i], den[i] = _primitive(row, rhs[i] * p - f * rr, den[i] * p)
         self._basis[r] = col
         self._pivots += 1
-        self._price_out(r)
+        self._price_out((r,))
 
     def _extract(self) -> tuple[Fraction, ...]:
         values = [Fraction(0)] * self.n_vars

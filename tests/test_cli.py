@@ -30,6 +30,23 @@ MENU = json.dumps(
     }
 )
 
+# one buyer, one good, values out of order with a value 0; prices 3 and 5
+# tie for revenue 3/2, and surplus picks the lower one
+ONE_BUYER = json.dumps(
+    {
+        "goods": 1,
+        "buyers": [
+            [
+                {"prob": "1/5", "values": ["3"]},
+                {"prob": "1/10", "values": ["0"]},
+                {"prob": "3/10", "values": ["5"]},
+                {"prob": "1/4", "values": ["1"]},
+                {"prob": "3/20", "values": ["2"]},
+            ]
+        ],
+    }
+)
+
 
 @pytest.fixture
 def auction_file(tmp_path):
@@ -293,6 +310,43 @@ class TestDpAndReduction:
             assert "sizes must be a comma list of integers" in err
         code, out, _ = run(capsys, "verify-reduction", "--sizes", " 1, 1 ")
         assert code == 0
+
+
+class TestGoldenStdout:
+    """Exact stdout bytes, so a solver change that keeps the answers keeps
+    every report line."""
+
+    def test_lp_solve_one_buyer_menu(self, capsys, tmp_path):
+        path = tmp_path / "one_buyer.json"
+        path.write_text(ONE_BUYER)
+        code, out, _ = run(capsys, "lp-solve", "--instance", str(path), "--menu", "--verify")
+        assert code == 0
+        assert out == (
+            f"# disclosure-games lp-solve --instance {path} --menu --verify\n"
+            "instance: 1 good(s), 5 type(s) per buyer\n"
+            "revenue: 3/2 (~1.5)\n"
+            "buyer surplus: 3/5 (~0.6)\n"
+            "buyer 1 type 1 utility: 0 (~0)\n"
+            "buyer 1 type 2 utility: 0 (~0)\n"
+            "buyer 1 type 3 utility: 2 (~2)\n"
+            "buyer 1 type 4 utility: 0 (~0)\n"
+            "buyer 1 type 5 utility: 0 (~0)\n"
+            "menu:\n"
+            "  good 1: price 3\n"
+            "verification: feasible, individually rational, incentive compatible\n"
+        )
+
+    def test_verify_reduction_two_two_four(self, capsys):
+        code, out, _ = run(capsys, "verify-reduction", "--sizes", "2,2,4")
+        assert code == 0
+        assert out == (
+            "# disclosure-games verify-reduction --sizes 2,2,4\n"
+            "sizes [2, 2, 4], target 5/4 (~1.25)\n"
+            "even split: [2, 2] against the rest\n"
+            "best disclosure surplus: 1627/1260 (~1.29127)\n"
+            "pooled witness surplus: 229/180 (~1.27222) at price 4\n"
+            "equivalence: surplus target reached exactly when an even split exists\n"
+        )
 
 
 class TestWitnessAndPlot:

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disclosure_games.acceptance import AUCTION_123, MENU_FOUR_TYPES
 from disclosure_games.core import (
@@ -11,6 +13,7 @@ from disclosure_games.core import (
     GuardExceeded,
     ValidationError,
 )
+from disclosure_games.hardness import PartitionProblem, reduce_to_buyer_opt
 from disclosure_games.lpmech import (
     Mechanism,
     build_lp,
@@ -121,6 +124,35 @@ def add_every_ic_row(system, inst: DiscreteInstance) -> None:
                 system.lp.add_ge(row, 0)
 
 
+def one_buyer_corpus(seed: int, count: int) -> list[DiscreteInstance]:
+    """One buyer, one good, 1-6 types in shuffled value order: zeros,
+    one-type buyers and (one instance in four) equally spaced, equally
+    weighted values, where posted prices tie for revenue."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        if rng.random() < 0.25:
+            base, step = rng.randint(0, 3), rng.randint(1, 3)
+            values = [F(base + step * x) for x in range(n)]
+            rng.shuffle(values)
+            weights = [1] * n
+        else:
+            values = [F(v, 2) for v in rng.sample(range(0, 16), n)]
+            weights = [rng.randint(1, 4) for _ in range(n)]
+        prior = tuple(BuyerType(F(w, sum(weights)), (v,)) for w, v in zip(weights, values))
+        out.append(DiscreteInstance(1, (prior,)))
+    return out
+
+
+def add_every_supply_and_ir_row(system, inst: DiscreteInstance) -> None:
+    """Add the supply and IR rows of every type of a one-buyer, one-good LP."""
+    for t, btype in enumerate(inst.buyers[0]):
+        q, r = system.q_index(t, 0, 0), system.r_index(t, 0)
+        system.lp.add_le({q: 1}, 1)
+        system.lp.add_ge({q: btype.values[0], r: -1}, 0)
+
+
 def rand_instance(rng: random.Random) -> DiscreteInstance:
     goods = rng.randint(1, 2)
     buyers = []
@@ -146,7 +178,18 @@ class TestBuildCounts:
         sys = build_lp(DiscreteInstance.build(1, [[("1/2", ["1"]), ("1/2", ["2"])]]))
         assert sys.n_q_vars == 2
         assert sys.n_r_vars == 2
-        assert sys.counts == {"supply": 2, "ir": 2, "ic": 2}
+        assert sys.counts == {"supply": 1, "ir": 1, "ic": 2}
+
+    def test_one_buyer_one_good_keeps_top_supply_and_bottom_ir(self):
+        shuffled = DiscreteInstance.build(
+            1, [[("1/5", [v]) for v in ("3", "0", "5", "1", "2")]]
+        )
+        sys = build_lp(shuffled)
+        assert sys.counts == {"supply": 1, "ir": 1, "ic": 8}
+        # supply at the value-5 type (index 2), IR at the value-0 type (index 1)
+        supply, ir = (row for row, _, _ in sys.lp._constraints[:2])
+        assert supply == {sys.q_index(2, 0, 0): 1}
+        assert ir == {sys.r_index(1, 0): -1}  # value 0: the q coefficient is dropped
 
     def test_two_buyers_three_types(self):
         sys = build_lp(TWO_BUYERS_123)
@@ -166,7 +209,7 @@ class TestBuildCounts:
 
     def test_one_good_tied_value_keeps_every_ic_pair(self):
         sys = build_lp(one_good([[BuyerType(F(1, 4), (F(v),)) for v in (3, 1, 2, 1)]]))
-        assert sys.counts["ic"] == 4 * 3
+        assert sys.counts == {"supply": 4, "ir": 4, "ic": 4 * 3}
 
     def test_several_goods_keep_every_ic_pair(self):
         assert build_lp(MENU_FOUR_TYPES).counts == {"supply": 8, "ir": 4, "ic": 12}
@@ -199,8 +242,10 @@ class TestPivotSequence:
             (uniform_grid_instance(4, 3), (222, 222)),
             (AUCTION_123, (41, 44)),
             (MENU_FOUR_TYPES, (13, 13)),
+            (reduce_to_buyer_opt(PartitionProblem((2, 2, 4))).instance.to_instance(), (11, 11)),
         ],
-        ids=["grid-5", "grid-4-three-buyers", "auction-123", "menu-four-types"],
+        ids=["grid-5", "grid-4-three-buyers", "auction-123", "menu-four-types",
+             "reduction-2-2-4"],
     )
     def test_stage_pivots(self, inst, pivots):
         system = build_lp(inst)
@@ -392,6 +437,46 @@ class TestAdjacentIcRows:
             assert [report.revenue, report.buyer_surplus] == stages[1]
 
 
+class TestImpliedOneBuyerRows:
+    """One buyer, one good: the LP with supply only at the top type and IR
+    only at the bottom type has the optima and the mechanism of the LP with
+    both rows at every type, and passes the all-pairs verifier."""
+
+    def test_corpus_covers_the_cases(self):
+        corpus = one_buyer_corpus(20261018, 120)
+        values = [[t.values[0] for t in inst.buyers[0]] for inst in corpus]
+        assert any(v != sorted(v) for v in values)
+        assert any(0 in v for v in values)
+        assert any(len(v) == 1 for v in values)
+        tied = 0
+        for inst in corpus:
+            prior = inst.buyers[0]
+            revenues = [
+                t.values[0] * sum(u.prob for u in prior if u.values[0] >= t.values[0])
+                for t in prior
+            ]
+            tied += revenues.count(max(revenues)) > 1 and max(revenues) > 0
+        assert tied > 5
+
+    def test_same_optima_and_mechanism_as_every_row(self):
+        for inst in one_buyer_corpus(20261018, 120):
+            solved = []
+            for full in (False, True):
+                system = build_lp(inst)
+                if full:
+                    add_every_supply_and_ir_row(system, inst)
+                stages = system.lp.solve_lexicographic(
+                    [system.revenue_objective, system.surplus_objective]
+                )
+                mech = system.extract_mechanism(stages[-1].values)
+                solved.append(([s.objective for s in stages], mech.q, mech.r))
+            assert solved[0] == solved[1], inst
+            sol = solve_instance(inst)
+            report = verify_mechanism(inst, sol.mechanism)
+            assert report.valid, (report.failure, inst)
+            assert [report.revenue, report.buyer_surplus] == solved[1][0]
+
+
 class TestInvariants:
     def test_scale_invariance(self):
         rng = random.Random(77)
@@ -433,6 +518,34 @@ class TestInvariants:
                 for v in [t2.values[0]]
             )
             assert sol.revenue == best
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 40), st.integers(1, 5)),
+            min_size=1,
+            max_size=6,
+            unique_by=lambda vw: vw[0],
+        )
+    )
+    def test_one_buyer_one_good_posts_the_lowest_best_price(self, types):
+        # types are (2 * value, weight) in any order; the LP's revenue is the
+        # best posted price's, its surplus the lowest such price's utility
+        total = sum(w for _, w in types)
+        prior = tuple(BuyerType(F(w, total), (F(v, 2),)) for v, w in types)
+        inst = DiscreteInstance(1, (prior,))
+        best = None
+        for price in sorted(t.values[0] for t in prior):
+            buyers = [t for t in prior if t.values[0] >= price]
+            revenue = price * sum(t.prob for t in buyers)
+            utility = sum(t.prob * (t.values[0] - price) for t in buyers)
+            if best is None or revenue > best[0]:
+                best = (revenue, utility)
+        sol = solve_instance(inst)
+        assert (sol.revenue, sol.buyer_surplus) == best
+        report = verify_mechanism(inst, sol.mechanism)
+        assert report.valid, report.failure
+        assert (report.revenue, report.buyer_surplus) == best
 
     def test_grid_allocation_matches_closed_form_winner(self):
         n = 8

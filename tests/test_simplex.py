@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from disclosure_games.acceptance import AUCTION_123, MENU_FOUR_TYPES
 from disclosure_games.core import GuardExceeded, ValidationError
+from disclosure_games.lpmech import build_lp, uniform_grid_instance
 from disclosure_games.simplex import (
     ExactSimplex,
     LpInfeasible,
@@ -335,3 +337,70 @@ class TestAgainstVertexEnumeration:
             for res, obj in zip(results, stages):
                 assert sum(F(obj.get(j, 0)) * x[j] for j in range(n)) == res.objective
         assert solved > 50 and infeasible > 50
+
+
+def _check_priced_stages(lp: ExactSimplex) -> list:
+    """Wrap ``lp._maximize`` so that every stage, phase 1 included, is checked
+    against reduced costs recomputed in Fraction from the final tableau.
+
+    With c the stage objective and B the basis, the reduced cost of column j
+    is c_j - sum over rows r of c_B(r) * a_rj, and the objective value is
+    sum over r of c_B(r) * b_r, where a_rj and b_r are row r's entries over
+    its denominator.  Returns the list of stage optima checked so far.
+    """
+    checked = []
+
+    def maximize(objective):
+        optimum = ExactSimplex._maximize(lp, objective)
+        c = {j: F(v) for j, v in objective.items()}
+        cols = set(c) | set(lp._goal)
+        for row in lp._rows:
+            cols |= set(row)
+        cost_b = [c.get(col, F(0)) for col in lp._basis]
+        for j in cols:
+            reduced = c.get(j, F(0))
+            for r, row in enumerate(lp._rows):
+                if j in row:
+                    reduced -= cost_b[r] * F(row[j], lp._den[r])
+            assert F(lp._goal.get(j, 0), lp._goal_den) == reduced, j
+        value = sum((cb * F(lp._rhs[r], lp._den[r]) for r, cb in enumerate(cost_b)), F(0))
+        assert F(lp._value, lp._goal_den) == value == optimum
+        checked.append(optimum)
+        return optimum
+
+    lp._maximize = maximize
+    return checked
+
+
+class TestPricingOracle:
+    """The one-pass pricing leaves the exact reduced costs and value after
+    every stage, on mechanism LPs and on the phase 1 corpus."""
+
+    @pytest.mark.parametrize(
+        "inst",
+        [uniform_grid_instance(5), uniform_grid_instance(4, 3), AUCTION_123, MENU_FOUR_TYPES],
+        ids=["grid-5", "grid-4-three-buyers", "auction-123", "menu-four-types"],
+    )
+    def test_mechanism_lp_stages(self, inst):
+        system = build_lp(inst)
+        checked = _check_priced_stages(system.lp)
+        stages = system.lp.solve_lexicographic(
+            [system.revenue_objective, system.surplus_objective]
+        )
+        assert checked == [stage.objective for stage in stages]
+
+    def test_phase_one_corpus_slice(self):
+        rng = random.Random(6061)
+        stages_checked = phase_ones = 0
+        for _ in range(300):
+            lp, stages = _random_staged_lp(rng)
+            checked = _check_priced_stages(lp)
+            try:
+                results = lp.solve_lexicographic(stages)
+            except (LpInfeasible, LpUnbounded):
+                continue
+            # phase 1, when the LP has artificials, is priced and checked too
+            assert checked[len(checked) - len(results):] == [res.objective for res in results]
+            stages_checked += len(results)
+            phase_ones += len(checked) - len(results)
+        assert stages_checked > 150 and phase_ones > 40
