@@ -10,7 +10,11 @@ block utilities add without renormalizing.
 Each call scores every connected block once; the DP and the brute force
 over all 2^(n-1) compositions read that table, but the brute force sums
 and breaks ties on its own, so it checks the recursion and its tie order.
-Tests check ``buyer_utility`` against every candidate price and the LP.
+A message's posted price comes from ``lpmech.best_posted_price``, the
+routine ``lpmech.solve_instance`` uses for one buyer with one good.
+Tests check ``buyer_utility`` against every candidate price, and check
+that routine against the full mechanism LP on every message of the
+hardness reductions.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .core import (
     compositions,
     parse_rational,
 )
+from .lpmech import best_posted_price
 
 BRUTE_FORCE_GUARD = 20
 
@@ -75,10 +80,9 @@ class SingleBuyerInstance:
 def buyer_utility(inst: SingleBuyerInstance, msg: Sequence[int]) -> tuple[Fraction, Fraction]:
     """Utility mass and price when the seller best-responds to one message.
 
-    The seller posts the revenue-maximal price among the message's values,
-    found in one pass from the top value down.  Revenue ties go to the
-    lower price, which serves more mass and so leaves strictly more
-    utility: the largest (revenue, utility) pair.  The returned utility is
+    The seller posts the revenue-maximal price among the message's values
+    (``lpmech.best_posted_price``, over the values from the top down);
+    revenue ties go to the lower price.  The returned utility is
     unconditional mass (scaled by the message's prior probability), so
     utilities of disjoint messages add.
     """
@@ -89,14 +93,7 @@ def buyer_utility(inst: SingleBuyerInstance, msg: Sequence[int]) -> tuple[Fracti
         raise ValidationError("message repeats a type index")
     if idx[0] < 0 or idx[-1] >= inst.n:
         raise ValidationError("message index out of range")
-    candidates = []
-    mass = weighted = Fraction(0)
-    for i in reversed(idx):
-        price = inst.values[i]
-        mass += inst.probs[i]
-        weighted += inst.probs[i] * price
-        candidates.append((price * mass, weighted - price * mass, price))
-    _, utility, price = max(candidates)
+    _, utility, price = best_posted_price((inst.values[i], inst.probs[i]) for i in reversed(idx))
     return utility, price
 
 

@@ -4,9 +4,11 @@ Buyers first publicly reveal which block of their partition their type
 lies in; the seller then runs the revenue-optimal mechanism for the
 disclosed posterior (ties among revenue-optimal mechanisms resolved in
 the buyers' favor, matching lpmech's second stage).  This module
-evaluates a partition profile by solving one LP per tuple of messages and
-aggregating with exact block probabilities, and searches all partition
-profiles for the buyer-optimal one.
+evaluates a partition profile by solving for one mechanism per tuple of
+messages (``lpmech.solve_instance``: a posted price for one buyer with
+one good, the exact LP otherwise) and aggregating with exact block
+probabilities, and searches all partition profiles for the buyer-optimal
+one.
 
 Message tuples repeat across profiles, so an evaluator instance caches
 conditioned solves; a full search over an instance touches each distinct
@@ -43,7 +45,7 @@ class GameOutcome:
     """Aggregate result of one partition profile.
 
     ``per_message`` maps each tuple of messages (one block per buyer) to
-    its probability and the conditioned LP solution; ``efficient`` means
+    its probability and the conditioned solution; ``efficient`` means
     every good is always fully sold to a buyer of maximal value for it.
     """
 

@@ -9,6 +9,15 @@ the revenue-optimal mechanisms.  Everything is exact rational arithmetic,
 so results like a surplus of 2/9 are literal fractions, not
 approximations.
 
+One buyer with one good takes a closed form instead of the LP: the
+optimum is a posted price (Riley & Zeckhauser 1983, "Optimal selling
+strategies"), and ``best_posted_price`` finds it in one pass from the top
+value down.  The revenue-optimal face is the mixtures of revenue-maximal
+prices, and the surplus stage picks the lowest of them, so a revenue tie
+goes to the lower price; every type valued at least the price buys at
+it, and when every value is 0 (revenue 0) nothing is sold, as in the LP's
+solution.  ``variable_budget`` guards only the LP path.
+
 With one good, IC between types adjacent in value order, in both
 directions, implies IC between every pair (Myerson 1981, "Optimal Auction
 Design"), so for a buyer with distinct values the LP keeps only those
@@ -16,14 +25,14 @@ rows: the same feasible set, hence the same optima, from a smaller LP.
 Several goods, or two types of one buyer with the same value, keep every
 pair.
 
-With one buyer as well, adjacent IC in both directions makes the
+``build_lp`` still builds the LP of a one-buyer, one-good instance when
+called directly.  There adjacent IC in both directions makes the
 allocation q nondecreasing in value, and the utility too, since
 u_i >= u_{i-1} + (v_i - v_{i-1}) q_{i-1}.  So supply at the top-value type
 implies supply everywhere, and IR at the bottom-value type implies IR
 everywhere (with one buyer, ex-post IR is interim IR); the LP keeps only
-those two rows (Myerson 1981; Riley & Zeckhauser 1983, "Optimal selling
-strategies").  ``verify_mechanism`` checks every supply, IR and IC row
-regardless.
+those two rows (Myerson 1981; Riley & Zeckhauser 1983).
+``verify_mechanism`` checks every supply, IR and IC row regardless.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import (
     BuyerType,
@@ -268,7 +277,44 @@ def uniform_grid_instance(n: int, buyers: int = 2) -> DiscreteInstance:
     return DiscreteInstance(1, (prior,) * buyers)
 
 
+def best_posted_price(
+    pairs: Iterable[tuple[Fraction, Fraction]],
+) -> tuple[Fraction, Fraction, Fraction]:
+    """The seller's best posted price against (value, weight) pairs.
+
+    The pairs come in decreasing value order, and one pass keeps the mass
+    and the value-weighted mass at or above each candidate price.  Returns
+    the largest (revenue, utility, price) triple: a revenue tie goes to the
+    lower price, which serves more mass of positive value and so leaves
+    strictly more utility.
+    """
+    candidates = []
+    mass = weighted = Fraction(0)
+    for value, weight in pairs:
+        mass += weight
+        weighted += weight * value
+        candidates.append((value * mass, weighted - value * mass, value))
+    return max(candidates)
+
+
 def solve_instance(inst: DiscreteInstance, variable_budget: int = DEFAULT_VARIABLE_BUDGET) -> LPSolution:
+    """The revenue-optimal mechanism, buyer surplus maximal among those.
+
+    One buyer with one good takes the closed form: the best posted price
+    (``best_posted_price``), with a revenue tie going to the lower price, as
+    the LP's second stage does.  Every type valued at least the price buys
+    at it; when the revenue is 0 (every value is 0) nothing is sold.  Every
+    other instance solves the two-stage exact LP, and only that path builds
+    variables, so ``variable_budget`` guards only it.
+    """
+    if inst.n_buyers == 1 and inst.goods == 1:
+        prior = inst.buyers[0]
+        ranked = sorted(prior, key=lambda t: t.values[0], reverse=True)
+        revenue, utility, price = best_posted_price((t.values[0], t.prob) for t in ranked)
+        sold = [revenue > 0 and t.values[0] >= price for t in prior]
+        q = tuple(((Fraction(int(s)),),) for s in sold)
+        r = tuple((price if s else Fraction(0),) for s in sold)
+        return LPSolution(Mechanism(inst, q, r), revenue, utility)
     system = build_lp(inst, variable_budget)
     stage1, stage2 = system.lp.solve_lexicographic(
         [system.revenue_objective, system.surplus_objective]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -346,6 +347,84 @@ class TestGoldenStdout:
             "best disclosure surplus: 1627/1260 (~1.29127)\n"
             "pooled witness surplus: 229/180 (~1.27222) at price 4\n"
             "equivalence: surplus target reached exactly when an even split exists\n"
+        )
+
+    def test_game_eval_one_buyer_pooling(self, capsys, tmp_path):
+        # the lone value-0 message is not sold, so good 1 stays unsold there
+        path = tmp_path / "one_buyer.json"
+        path.write_text(ONE_BUYER)
+        profile = "[[[2],[1,3,5],[4]]]"
+        code, out, _ = run(
+            capsys, "game-eval", "--instance", str(path), "--profile", profile, "--per-message"
+        )
+        assert code == 0
+        assert out == (
+            f"# disclosure-games game-eval --instance {path} --profile {profile} --per-message\n"
+            "profile: [[[1, 3, 5], [2], [4]]]\n"
+            "messages ({1, 3, 5}): prob 13/20, revenue 30/13, surplus 12/13\n"
+            "messages ({2}): prob 1/10, revenue 0, surplus 0\n"
+            "messages ({4}): prob 1/4, revenue 1, surplus 0\n"
+            "expected revenue: 7/4 (~1.75)\n"
+            "buyer 1 utility: 3/5 (~0.6)\n"
+            "total surplus: 3/5 (~0.6)\n"
+            "good 1 unsold probability: 1/4 (~0.25)\n"
+            "always all sold: false\n"
+            "efficient: false\n"
+        )
+
+    def test_search_one_buyer_top_five(self, capsys, tmp_path):
+        path = tmp_path / "one_buyer.json"
+        path.write_text(ONE_BUYER)
+        target = tmp_path / "rank.csv"
+        code, out, _ = run(
+            capsys, "search", "--instance", str(path), "--top", "5", "--out", str(target)
+        )
+        assert code == 0
+        assert out == (
+            f"# disclosure-games search --instance {path} --top 5 --out {target}\n"
+            "searched 52 profiles (all)\n"
+            "rank 1: total 3/4 (~0.75), revenue 19/10, profile [[[1, 2, 3], [4, 5]]]\n"
+            "rank 2: total 3/4 (~0.75), revenue 19/10, profile [[[1, 3], [2], [4, 5]]]\n"
+            "rank 3: total 3/4 (~0.75), revenue 19/10, profile [[[1, 3], [2, 4, 5]]]\n"
+            "rank 4: total 3/5 (~0.6), revenue 41/20, profile [[[1, 2, 3], [4], [5]]]\n"
+            "rank 5: total 3/5 (~0.6), revenue 9/5, profile [[[1, 2, 3, 4], [5]]]\n"
+            f"wrote {target}\n"
+        )
+        csv = target.read_bytes()
+        assert csv.startswith(
+            b"profile,revenue,u1,total_surplus,always_all_sold,efficient\n"
+            b'"[[[1,2,3],[4,5]]]",19/10,3/4,3/4,false,false\n'
+        )
+        assert csv.count(b"\n") == 53
+        assert hashlib.sha256(csv).hexdigest() == (
+            "b54ef3123c6e0f395ba3b9e3c5a827323f4c4ab1e8bda18d249377ec2a938726"
+        )
+
+    def test_dp_table_one_buyer(self, capsys, tmp_path):
+        doc = {
+            "goods": 1,
+            "buyers": [
+                [
+                    {"prob": "1/6", "values": ["4"]},
+                    {"prob": "1/3", "values": ["1"]},
+                    {"prob": "1/4", "values": ["5/2"]},
+                    {"prob": "1/4", "values": ["6"]},
+                ]
+            ],
+        }
+        path = tmp_path / "dp.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "dp", "--instance", str(path), "--table")
+        assert code == 0
+        assert out == (
+            f"# disclosure-games dp --instance {path} --table\n"
+            "best over first 0 type(s): 0\n"
+            "best over first 1 type(s): 0\n"
+            "best over first 2 type(s): 0\n"
+            "best over first 3 type(s): 1/4\n"
+            "best over first 4 type(s): 9/8\n"
+            "message {1, 5/2, 4, 6}: price 5/2, utility 9/8\n"
+            "optimal connected utility: 9/8 (~1.125)\n"
         )
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from disclosure_games import lpmech
 from disclosure_games.acceptance import AUCTION_123, MENU_FOUR_TYPES
 from disclosure_games.core import (
     BuyerType,
     DiscreteInstance,
     GuardExceeded,
     ValidationError,
+    condition_on_messages,
 )
-from disclosure_games.hardness import PartitionProblem, reduce_to_buyer_opt
+from disclosure_games.dpconnected import buyer_utility
+from disclosure_games.hardness import PartitionProblem, reduce_to_buyer_opt, sweep_size_lists
 from disclosure_games.lpmech import (
     Mechanism,
     build_lp,
@@ -475,6 +479,118 @@ class TestImpliedOneBuyerRows:
             report = verify_mechanism(inst, sol.mechanism)
             assert report.valid, (report.failure, inst)
             assert [report.revenue, report.buyer_surplus] == solved[1][0]
+
+
+def full_lp_solution(inst: DiscreteInstance) -> tuple:
+    """(revenue, surplus, q, r) of the one-buyer, one-good LP with every row."""
+    system = build_lp(inst)
+    add_every_supply_and_ir_row(system, inst)
+    stages = system.lp.solve_lexicographic(
+        [system.revenue_objective, system.surplus_objective]
+    )
+    mech = system.extract_mechanism(stages[-1].values)
+    return stages[0].objective, stages[1].objective, mech.q, mech.r
+
+
+@st.composite
+def one_buyer_instances(draw) -> DiscreteInstance:
+    """One buyer, one good, values over denominators 1, 2, 3 and 7 in any
+    order, zeros included; half of them equally spaced and equally
+    weighted, where posted prices tie for revenue."""
+    n = draw(st.integers(1, 6))
+    den = draw(st.sampled_from((1, 2, 3, 7)))
+    if draw(st.booleans()):
+        base, step = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+        values = draw(st.permutations([F(base + step * x, den) for x in range(n)]))
+        weights = [1] * n
+    else:
+        values = draw(st.lists(
+            st.builds(F, st.integers(0, 20), st.sampled_from((1, 2, 3, 7))),
+            min_size=n, max_size=n, unique=True,
+        ))
+        weights = draw(st.one_of(
+            st.just([1] * n), st.lists(st.integers(1, 5), min_size=n, max_size=n)
+        ))
+    total = sum(weights)
+    prior = tuple(BuyerType(F(w, total), (v,)) for w, v in zip(weights, values))
+    return DiscreteInstance(1, (prior,))
+
+
+class TestPostedPriceShortcut:
+    """One buyer, one good: ``solve_instance`` posts the best price without
+    an LP.  The LP with a supply and an IR row at every type is the oracle:
+    the same revenue, surplus, q and r, and the all-pairs verifier accepts."""
+
+    @staticmethod
+    def assert_matches_lp(inst: DiscreteInstance):
+        sol = solve_instance(inst)
+        mech = sol.mechanism
+        assert (sol.revenue, sol.buyer_surplus, mech.q, mech.r) == full_lp_solution(inst), inst
+        report = verify_mechanism(inst, mech)
+        assert report.valid, (report.failure, inst)
+        assert (report.revenue, report.buyer_surplus) == (sol.revenue, sol.buyer_surplus)
+        return sol
+
+    def test_seeded_corpus(self):
+        for inst in one_buyer_corpus(20261018, 200):
+            self.assert_matches_lp(inst)
+
+    @settings(max_examples=200, deadline=None)
+    @given(one_buyer_instances())
+    def test_random_instances(self, inst):
+        self.assert_matches_lp(inst)
+
+    def test_lone_zero_type_is_not_sold(self):
+        sol = self.assert_matches_lp(DiscreteInstance.build(1, [[("1", ["0"])]]))
+        assert sol.mechanism.q == (((F(0),),),)
+        assert sol.mechanism.r == ((F(0),),)
+
+    def test_revenue_ties_go_to_the_lower_price(self):
+        # prices 1 and 2 each earn 1 against two equally likely types
+        sol = self.assert_matches_lp(
+            DiscreteInstance.build(1, [[("1/2", ["2"]), ("1/2", ["1"])]])
+        )
+        assert (sol.revenue, sol.buyer_surplus) == (F(1), F(1, 2))
+        assert sol.mechanism.r == ((F(1),),) * 2
+
+    def test_every_message_of_the_reductions(self):
+        for pp in sweep_size_lists(3, 4):
+            single = reduce_to_buyer_opt(pp).instance
+            inst = single.to_instance()
+            for size in range(1, single.n + 1):
+                for msg in itertools.combinations(range(single.n), size):
+                    cond = condition_on_messages(inst, [msg])
+                    sol = self.assert_matches_lp(cond.instance)
+                    utility, _ = buyer_utility(single, msg)
+                    assert utility == cond.masses[0] * sol.buyer_surplus
+
+
+class TestRouting:
+    """Only one buyer with one good skips the LP."""
+
+    def test_one_buyer_one_good_builds_no_lp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built an LP")
+
+        monkeypatch.setattr(lpmech, "build_lp", refuse)
+        sol = solve_instance(DiscreteInstance.build(1, [[("1/2", ["1"]), ("1/2", ["3"])]]))
+        assert (sol.revenue, sol.buyer_surplus) == (F(3, 2), F(0))
+
+    def test_other_instances_build_one_lp(self, monkeypatch):
+        built = []
+
+        def counting(inst, *args):
+            built.append(inst)
+            return build_lp(inst, *args)
+
+        monkeypatch.setattr(lpmech, "build_lp", counting)
+        for inst in (TWO_BUYERS_123, MENU_FOUR_TYPES, TWO_GOODS_CORRELATED):
+            solve_instance(inst)
+        assert built == [TWO_BUYERS_123, MENU_FOUR_TYPES, TWO_GOODS_CORRELATED]
+
+    def test_variable_budget_guards_the_lp(self):
+        with pytest.raises(GuardExceeded):
+            solve_instance(TWO_BUYERS_123, variable_budget=10)
 
 
 class TestInvariants:
