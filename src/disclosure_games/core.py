@@ -224,20 +224,25 @@ def canonical_partition(blocks: Iterable[Iterable[int]]) -> SetPartition:
     return norm
 
 
-def validate_partition(partition: Sequence[Sequence[int]], n: int) -> SetPartition:
+def _check_blocks(partition: Sequence[Sequence[int]], ids: range) -> None:
+    """Raise unless the blocks split ``ids`` exactly, naming indices as written."""
     seen = set()
     for block in partition:
         if not block:
             raise ValidationError("partition contains an empty message")
         for i in block:
-            if type(i) is not int or not 0 <= i < n:
-                raise ValidationError(f"type index {i!r} out of range 0..{n - 1}")
+            if type(i) is not int or i not in ids:
+                raise ValidationError(f"type index {i!r} out of range {ids.start}..{ids.stop - 1}")
             if i in seen:
                 raise ValidationError(f"type index {i} appears in two messages")
             seen.add(i)
-    if len(seen) != n:
-        missing = sorted(set(range(n)) - seen)
+    if len(seen) != len(ids):
+        missing = sorted(set(ids) - seen)
         raise ValidationError(f"partition misses type indices {missing}")
+
+
+def validate_partition(partition: Sequence[Sequence[int]], n: int) -> SetPartition:
+    _check_blocks(partition, range(n))
     return canonical_partition(partition)
 
 
@@ -254,14 +259,22 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
+def _require_size(n: int) -> None:
+    # bool is an int subclass, but True is not a number of elements
+    if type(n) is not int or n < 0:
+        raise ValidationError(f"n must be a nonnegative integer, got {n!r}")
+
+
 def enumerate_set_partitions(n: int, guard: int = SET_PARTITION_GUARD) -> Iterator[SetPartition]:
     """Yield every set partition of {0..n-1} in canonical order.
 
     Canonical order: partitions generated by assigning each element either
     to an existing block or to a fresh one, blocks kept sorted by least
     element.  Guarded because the count is the Bell number (B(12) is about
-    4.2 million; anything beyond that is a mistake, not a workload).
+    4.2 million; anything beyond that is a mistake, not a workload).  n = 0
+    has one partition, the empty one.
     """
+    _require_size(n)
     if n > guard:
         raise GuardExceeded(f"refusing to enumerate set partitions of {n} > {guard} elements")
     if n == 0:
@@ -284,11 +297,16 @@ def enumerate_set_partitions(n: int, guard: int = SET_PARTITION_GUARD) -> Iterat
 
 
 def compositions(n: int) -> Iterator[SetPartition]:
-    """Yield every split of 0..n-1 into consecutive blocks, 2^(n-1) in all.
+    """Yield every split of 0..n-1 into consecutive blocks, 2^(n-1) in all
+    (n = 0 has one, the empty split).
 
     Bit pos-1 of the counter cuts before element pos.  The order is fixed
     because the brute-force oracles break ties toward the first composition.
     """
+    _require_size(n)
+    if n == 0:
+        yield ()
+        return
     for cuts in range(2 ** (n - 1)):
         blocks = []
         start = 0
@@ -312,11 +330,10 @@ def parse_partition_profile(text: str, inst: DiscreteInstance) -> tuple[SetParti
     for j, part in enumerate(doc):
         if not isinstance(part, list) or not all(isinstance(b, list) for b in part):
             raise ValidationError(f"buyer {j}: partition must be an array of arrays of indices")
-        shifted = [[i - 1 for i in b if type(i) is int] for b in part]
-        for block, orig in zip(shifted, part):
-            if len(block) != len(orig):
-                raise ValidationError(f"buyer {j}: partition indices must be integers")
-        profile.append(validate_partition(shifted, inst.n_types(j)))
+        if not all(type(i) is int for b in part for i in b):
+            raise ValidationError(f"buyer {j}: partition indices must be integers")
+        _check_blocks(part, range(1, inst.n_types(j) + 1))
+        profile.append(canonical_partition([i - 1 for i in b] for b in part))
     return tuple(profile)
 
 

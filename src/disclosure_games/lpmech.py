@@ -20,19 +20,10 @@ solution.  ``variable_budget`` guards only the LP path.
 
 With one good, IC between types adjacent in value order, in both
 directions, implies IC between every pair (Myerson 1981, "Optimal Auction
-Design"), so for a buyer with distinct values the LP keeps only those
-rows: the same feasible set, hence the same optima, from a smaller LP.
-Several goods, or two types of one buyer with the same value, keep every
-pair.
-
-``build_lp`` still builds the LP of a one-buyer, one-good instance when
-called directly.  There adjacent IC in both directions makes the
-allocation q nondecreasing in value, and the utility too, since
-u_i >= u_{i-1} + (v_i - v_{i-1}) q_{i-1}.  So supply at the top-value type
-implies supply everywhere, and IR at the bottom-value type implies IR
-everywhere (with one buyer, ex-post IR is interim IR); the LP keeps only
-those two rows (Myerson 1981; Riley & Zeckhauser 1983).
-``verify_mechanism`` checks every supply, IR and IC row regardless.
+Design"); a buyer's types have distinct values, so the LP keeps only
+those rows: the same feasible set, hence the same optima, from a smaller
+LP.  Several goods keep every pair.  ``verify_mechanism`` checks every
+supply, IR and IC row regardless.
 """
 
 from __future__ import annotations
@@ -143,17 +134,12 @@ class LpSystem:
     """The seller's LP for one instance: variables q and r, revenue objective.
 
     Variables are laid out as all q (joint type, then buyer, then good)
-    followed by all r (joint type, then buyer).  Interim IC rows cover every
-    ordered pair of a buyer's types, except that with one good and pairwise
-    distinct values they cover only pairs adjacent in value order, both
-    ways (Myerson 1981); a tied value keeps every pair, since adjacent rows
-    do not force a monotone allocation among tied types.  Supply rows cover
-    every (joint type, good) and IR rows every (joint type, buyer), except
-    for one buyer with one good and distinct values: there the adjacent IC
-    rows make q and utility nondecreasing in value, so only the top-value
-    type's supply row and the bottom-value type's IR row are built.
-    ``counts`` holds the rows built per kind, so callers can sanity-check
-    the build against hand counts.
+    followed by all r (joint type, then buyer).  Supply rows cover every
+    (joint type, good) and IR rows every (joint type, buyer).  Interim IC
+    rows cover every ordered pair of a buyer's types, except that with one
+    good they cover only pairs adjacent in value order, both ways (Myerson
+    1981).  ``counts`` holds the rows built per kind, so callers can
+    sanity-check the build against hand counts.
     """
 
     def __init__(self, inst: DiscreteInstance, variable_budget: int = DEFAULT_VARIABLE_BUDGET):
@@ -185,16 +171,8 @@ class LpSystem:
         inst = self.instance
         m, ell = self._m, self._ell
         nt = len(self.joint_types)
-        orders = [sorted(range(len(prior)), key=lambda i: prior[i].values) for prior in inst.buyers]
-        adjacent = [m == 1 and len({t.values for t in prior}) == len(prior) for prior in inst.buyers]
-        # one buyer, one good, distinct values: adjacent IC makes q and utility
-        # nondecreasing in value, so supply binds only at the top type and IR
-        # only at the bottom one (joint type t is the buyer's type t)
-        supply_at = ir_at = range(nt)
-        if ell == 1 and adjacent[0]:
-            supply_at, ir_at = (orders[0][-1],), (orders[0][0],)
         # supply: each good goes to at most one buyer
-        for t in supply_at:
+        for t in range(nt):
             for k in range(m):
                 self.lp.add_le({self.q_index(t, j, k): 1 for j in range(ell)}, 1)
         # ex-post IR: no type ever pays more than the value it receives; the
@@ -205,10 +183,9 @@ class LpSystem:
             for j in range(ell):
                 values = inst.buyers[j][jt[j]].values
                 r = self.r_index(t, j)
-                if t in ir_at:
-                    row = {self.q_index(t, j, k): v for k, v in enumerate(values)}
-                    row[r] = Fraction(-1)
-                    self.lp.add_ge(row, 0)
+                row = {self.q_index(t, j, k): v for k, v in enumerate(values)}
+                row[r] = Fraction(-1)
+                self.lp.add_ge(row, 0)
                 revenue[r] = w
                 surplus[r] = -w
                 for k, v in enumerate(values):
@@ -218,19 +195,21 @@ class LpSystem:
         # interim IC: truth beats any single-type misreport in expectation.
         # slots[i] lists buyer j's joint types at type i in product order, so
         # zip pairs each truthful profile with the one where j reports i2.
-        # One good and distinct values: adjacent pairs in value order only.
+        # One good: adjacent pairs in value order only (a buyer's values are
+        # distinct, so the order is strict).
         n_ic = 0
         for j in range(ell):
             prior = inst.buyers[j]
             nj = len(prior)
-            rank = {i: r for r, i in enumerate(orders[j])}
+            order = sorted(range(nj), key=lambda i: prior[i].values)
+            rank = {i: r for r, i in enumerate(order)}
             slots: list[list[int]] = [[] for _ in range(nj)]
             for t, jt in enumerate(self.joint_types):
                 slots[jt[j]].append(t)
             for i in range(nj):
                 values = prior[i].values
                 for i2 in range(nj):
-                    if i2 == i or (adjacent[j] and abs(rank[i] - rank[i2]) != 1):
+                    if i2 == i or (m == 1 and abs(rank[i] - rank[i2]) != 1):
                         continue
                     row = {}
                     for t, d in zip(slots[i], slots[i2]):
@@ -242,7 +221,7 @@ class LpSystem:
                         row[self.r_index(d, j)] = w
                     self.lp.add_ge(row, 0)
                     n_ic += 1
-        self.counts = {"supply": len(supply_at) * m, "ir": len(ir_at) * ell, "ic": n_ic}
+        self.counts = {"supply": nt * m, "ir": nt * ell, "ic": n_ic}
 
     def extract_mechanism(self, values: Sequence[Fraction]) -> Mechanism:
         q = tuple(

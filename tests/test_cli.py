@@ -215,6 +215,26 @@ class TestGameEval:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "profile, message",
+        [
+            ("[[[0,1]]]", "type index 0 out of range 1..2"),
+            ("[[[1],[1,2]]]", "type index 1 appears in two messages"),
+            ("[[[1]]]", "partition misses type indices [2]"),
+        ],
+    )
+    def test_bad_index_is_named_one_based(self, capsys, tmp_path, profile, message):
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(
+            {"goods": 1, "buyers": [[{"prob": "1/2", "values": ["1"]},
+                                     {"prob": "1/2", "values": ["2"]}]]}
+        ))
+        code, _, err = run(
+            capsys, "game-eval", "--instance", str(path), "--profile", profile
+        )
+        assert code == 1
+        assert err == f"validation error: {message}\n"
+
     def test_boolean_type_index_exit_1(self, capsys, auction_file):
         code, _, err = run(
             capsys,

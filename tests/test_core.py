@@ -11,6 +11,7 @@ from disclosure_games.core import (
     IntervalPartition,
     ValidationError,
     bell_number,
+    compositions,
     condition_on_messages,
     enumerate_set_partitions,
     format_rational,
@@ -131,6 +132,16 @@ class TestSetPartitions:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             list(enumerate_set_partitions(13))
+
+    def test_sizes_must_be_nonnegative_integers(self):
+        for enumerate_blocks in (enumerate_set_partitions, compositions):
+            assert list(enumerate_blocks(0)) == [()]
+            for n in (-1, True, False, 2.0, "3", None):
+                with pytest.raises(ValidationError):
+                    list(enumerate_blocks(n))
+        assert list(compositions(3)) == [
+            ((0, 1, 2),), ((0,), (1, 2)), ((0, 1), (2,)), ((0,), (1,), (2,))
+        ]
 
     def test_validate_rejects_overlap_and_gaps(self):
         with pytest.raises(ValidationError):

@@ -62,25 +62,9 @@ TWO_BUYERS_123 = DiscreteInstance.build(
 )
 
 
-def one_good(buyers) -> DiscreteInstance:
-    """A one-good instance from tuples of ``BuyerType``, ties allowed.
-
-    ``DiscreteInstance`` rejects two types of one buyer with the same value,
-    so a buyer with a tied value is set on an instance built around that
-    check: the LP build has to stay exact on any instance it is handed.
-    """
-    buyers = tuple(tuple(prior) for prior in buyers)
-    if all(len({t.values for t in prior}) == len(prior) for prior in buyers):
-        return DiscreteInstance(1, buyers)
-    inst = object.__new__(DiscreteInstance)
-    object.__setattr__(inst, "goods", 1)
-    object.__setattr__(inst, "buyers", buyers)
-    return inst
-
-
 def one_good_corpus(seed: int, count: int) -> list[DiscreteInstance]:
     """One-good instances with 1-3 buyers of 1-5 types, values out of order,
-    zeros, one-type buyers and (about one buyer in four) a tied value."""
+    zeros and one-type buyers."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
@@ -91,12 +75,10 @@ def one_good_corpus(seed: int, count: int) -> list[DiscreteInstance]:
         for n in sizes:
             weights = [rng.randint(1, 4) for _ in range(n)]
             values = [F(v, 2) for v in rng.sample(range(0, 16), n)]
-            if n > 1 and rng.random() < 0.25:
-                values[rng.randrange(n)] = values[rng.randrange(n)]
             buyers.append(
-                [BuyerType(F(w, sum(weights)), (v,)) for w, v in zip(weights, values)]
+                tuple(BuyerType(F(w, sum(weights)), (v,)) for w, v in zip(weights, values))
             )
-        out.append(one_good(buyers))
+        out.append(DiscreteInstance(1, tuple(buyers)))
     return out
 
 
@@ -104,7 +86,7 @@ def add_every_ic_row(system, inst: DiscreteInstance) -> None:
     """Add the IC rows for every pair not adjacent in (value, index) order.
 
     With the rows the build keeps for adjacent pairs, the LP then holds
-    every interim IC pair, whatever the build did with ties.
+    every interim IC pair.
     """
     jts = joint_types(inst)
     slot = {jt: t for t, jt in enumerate(jts)}
@@ -182,18 +164,7 @@ class TestBuildCounts:
         sys = build_lp(DiscreteInstance.build(1, [[("1/2", ["1"]), ("1/2", ["2"])]]))
         assert sys.n_q_vars == 2
         assert sys.n_r_vars == 2
-        assert sys.counts == {"supply": 1, "ir": 1, "ic": 2}
-
-    def test_one_buyer_one_good_keeps_top_supply_and_bottom_ir(self):
-        shuffled = DiscreteInstance.build(
-            1, [[("1/5", [v]) for v in ("3", "0", "5", "1", "2")]]
-        )
-        sys = build_lp(shuffled)
-        assert sys.counts == {"supply": 1, "ir": 1, "ic": 8}
-        # supply at the value-5 type (index 2), IR at the value-0 type (index 1)
-        supply, ir = (row for row, _, _ in sys.lp._constraints[:2])
-        assert supply == {sys.q_index(2, 0, 0): 1}
-        assert ir == {sys.r_index(1, 0): -1}  # value 0: the q coefficient is dropped
+        assert sys.counts == {"supply": 2, "ir": 2, "ic": 2}
 
     def test_two_buyers_three_types(self):
         sys = build_lp(TWO_BUYERS_123)
@@ -210,10 +181,6 @@ class TestBuildCounts:
         sys = build_lp(uniform_grid_instance(20))
         assert sys.counts["ic"] == 76
         assert sys.lp.n_constraints == 1276
-
-    def test_one_good_tied_value_keeps_every_ic_pair(self):
-        sys = build_lp(one_good([[BuyerType(F(1, 4), (F(v),)) for v in (3, 1, 2, 1)]]))
-        assert sys.counts == {"supply": 4, "ir": 4, "ic": 4 * 3}
 
     def test_several_goods_keep_every_ic_pair(self):
         assert build_lp(MENU_FOUR_TYPES).counts == {"supply": 8, "ir": 4, "ic": 12}
@@ -246,7 +213,7 @@ class TestPivotSequence:
             (uniform_grid_instance(4, 3), (222, 222)),
             (AUCTION_123, (41, 44)),
             (MENU_FOUR_TYPES, (13, 13)),
-            (reduce_to_buyer_opt(PartitionProblem((2, 2, 4))).instance.to_instance(), (11, 11)),
+            (reduce_to_buyer_opt(PartitionProblem((2, 2, 4))).instance.to_instance(), (14, 14)),
         ],
         ids=["grid-5", "grid-4-three-buyers", "auction-123", "menu-four-types",
              "reduction-2-2-4"],
@@ -419,8 +386,7 @@ class TestAdjacentIcRows:
         corpus = one_good_corpus(20261018, 80)
         priors = [prior for inst in corpus for prior in inst.buyers]
         values = [[t.values[0] for t in prior] for prior in priors]
-        assert any(len(set(v)) < len(v) for v in values)
-        assert any(v != sorted(v) for v in values if len(set(v)) == len(v))
+        assert any(v != sorted(v) for v in values)
         assert any(0 in v for v in values)
         assert any(len(v) == 1 for v in values)
         assert any(inst.n_buyers == 3 for inst in corpus)
@@ -439,46 +405,6 @@ class TestAdjacentIcRows:
             report = verify_mechanism(inst, sol.mechanism)
             assert report.valid, (report.failure, inst)
             assert [report.revenue, report.buyer_surplus] == stages[1]
-
-
-class TestImpliedOneBuyerRows:
-    """One buyer, one good: the LP with supply only at the top type and IR
-    only at the bottom type has the optima and the mechanism of the LP with
-    both rows at every type, and passes the all-pairs verifier."""
-
-    def test_corpus_covers_the_cases(self):
-        corpus = one_buyer_corpus(20261018, 120)
-        values = [[t.values[0] for t in inst.buyers[0]] for inst in corpus]
-        assert any(v != sorted(v) for v in values)
-        assert any(0 in v for v in values)
-        assert any(len(v) == 1 for v in values)
-        tied = 0
-        for inst in corpus:
-            prior = inst.buyers[0]
-            revenues = [
-                t.values[0] * sum(u.prob for u in prior if u.values[0] >= t.values[0])
-                for t in prior
-            ]
-            tied += revenues.count(max(revenues)) > 1 and max(revenues) > 0
-        assert tied > 5
-
-    def test_same_optima_and_mechanism_as_every_row(self):
-        for inst in one_buyer_corpus(20261018, 120):
-            solved = []
-            for full in (False, True):
-                system = build_lp(inst)
-                if full:
-                    add_every_supply_and_ir_row(system, inst)
-                stages = system.lp.solve_lexicographic(
-                    [system.revenue_objective, system.surplus_objective]
-                )
-                mech = system.extract_mechanism(stages[-1].values)
-                solved.append(([s.objective for s in stages], mech.q, mech.r))
-            assert solved[0] == solved[1], inst
-            sol = solve_instance(inst)
-            report = verify_mechanism(inst, sol.mechanism)
-            assert report.valid, (report.failure, inst)
-            assert [report.revenue, report.buyer_surplus] == solved[1][0]
 
 
 def full_lp_solution(inst: DiscreteInstance) -> tuple:
@@ -530,6 +456,22 @@ class TestPostedPriceShortcut:
         assert report.valid, (report.failure, inst)
         assert (report.revenue, report.buyer_surplus) == (sol.revenue, sol.buyer_surplus)
         return sol
+
+    def test_corpus_covers_the_cases(self):
+        corpus = one_buyer_corpus(20261018, 200)
+        values = [[t.values[0] for t in inst.buyers[0]] for inst in corpus]
+        assert any(v != sorted(v) for v in values)
+        assert any(0 in v for v in values)
+        assert any(len(v) == 1 for v in values)
+        tied = 0
+        for inst in corpus:
+            prior = inst.buyers[0]
+            revenues = [
+                t.values[0] * sum(u.prob for u in prior if u.values[0] >= t.values[0])
+                for t in prior
+            ]
+            tied += revenues.count(max(revenues)) > 1 and max(revenues) > 0
+        assert tied > 5
 
     def test_seeded_corpus(self):
         for inst in one_buyer_corpus(20261018, 200):
