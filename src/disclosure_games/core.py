@@ -246,10 +246,15 @@ def validate_partition(partition: Sequence[Sequence[int]], n: int) -> SetPartiti
     return canonical_partition(partition)
 
 
+def _require_size(n: int) -> None:
+    # bool is an int subclass, but True is not a number of elements
+    if type(n) is not int or n < 0:
+        raise ValidationError(f"n must be a nonnegative integer, got {n!r}")
+
+
 def bell_number(n: int) -> int:
     """Number of set partitions of an n-element set (Bell triangle)."""
-    if n < 0:
-        raise ValidationError("n must be nonnegative")
+    _require_size(n)
     row = [1]
     for _ in range(n):
         nxt = [row[-1]]
@@ -257,12 +262,6 @@ def bell_number(n: int) -> int:
             nxt.append(nxt[-1] + v)
         row = nxt
     return row[0]
-
-
-def _require_size(n: int) -> None:
-    # bool is an int subclass, but True is not a number of elements
-    if type(n) is not int or n < 0:
-        raise ValidationError(f"n must be a nonnegative integer, got {n!r}")
 
 
 def enumerate_set_partitions(n: int, guard: int = SET_PARTITION_GUARD) -> Iterator[SetPartition]:
@@ -329,10 +328,13 @@ def parse_partition_profile(text: str, inst: DiscreteInstance) -> tuple[SetParti
     profile = []
     for j, part in enumerate(doc):
         if not isinstance(part, list) or not all(isinstance(b, list) for b in part):
-            raise ValidationError(f"buyer {j}: partition must be an array of arrays of indices")
+            raise ValidationError(f"buyer {j + 1}: partition must be an array of arrays of indices")
         if not all(type(i) is int for b in part for i in b):
-            raise ValidationError(f"buyer {j}: partition indices must be integers")
-        _check_blocks(part, range(1, inst.n_types(j) + 1))
+            raise ValidationError(f"buyer {j + 1}: partition indices must be integers")
+        try:
+            _check_blocks(part, range(1, inst.n_types(j) + 1))
+        except ValidationError as exc:
+            raise ValidationError(f"buyer {j + 1}: {exc}") from None
         profile.append(canonical_partition([i - 1 for i in b] for b in part))
     return tuple(profile)
 

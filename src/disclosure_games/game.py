@@ -4,14 +4,21 @@ Buyers first publicly reveal which block of their partition their type
 lies in; the seller then runs the revenue-optimal mechanism for the
 disclosed posterior (ties among revenue-optimal mechanisms resolved in
 the buyers' favor, matching lpmech's second stage).  This module
-evaluates a partition profile by solving for one mechanism per tuple of
-messages (``lpmech.solve_instance``: a posted price for one buyer with
-one good, the exact LP otherwise) and aggregating with exact block
-probabilities, and searches all partition profiles for the buyer-optimal
-one.
+evaluates a partition profile from one cached entry per tuple of
+messages, aggregated with exact block probabilities, and searches all
+partition profiles for the buyer-optimal one.
+
+With one buyer and one good, a message's entry comes straight from the
+prior: ``lpmech.best_posted_price`` on the message's unnormalised weights
+returns its mass times the conditioned revenue and utility, at the same
+price, since scaling every candidate's revenue and utility by the mass
+keeps their order.  Every other instance conditions on the messages and
+solves the exact LP (``lpmech.solve_instance``).  ``GameOutcome``'s
+``per_message`` solutions are built on first read; a directly priced
+message then goes through ``solve_instance`` like the rest.
 
 Message tuples repeat across profiles, so an evaluator instance caches
-conditioned solves; a full search over an instance touches each distinct
+its entries; a full search over an instance touches each distinct
 message tuple once.
 """
 
@@ -19,8 +26,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .core import (
@@ -35,7 +43,7 @@ from .core import (
     format_rational,
     validate_partition,
 )
-from .lpmech import LPSolution, joint_types, solve_instance
+from .lpmech import LPSolution, best_posted_price, joint_types, solve_instance
 
 SEARCH_GUARD = 10**6
 
@@ -44,17 +52,27 @@ SEARCH_GUARD = 10**6
 class GameOutcome:
     """Aggregate result of one partition profile.
 
-    ``per_message`` maps each tuple of messages (one block per buyer) to
-    its probability and the conditioned solution; ``efficient`` means
-    every good is always fully sold to a buyer of maximal value for it.
+    ``efficient`` means every good is always fully sold to a buyer of
+    maximal value for it.  ``per_message`` maps each tuple of messages (one
+    block per buyer) to its probability and the conditioned solution; it is
+    built on first read, from the evaluator's cache, so a directly priced
+    message is solved only when something asks for its mechanism.
     """
 
     expected_revenue: Fraction
     per_buyer_utility: tuple[Fraction, ...]
     total_surplus: Fraction
-    per_message: Mapping[tuple, tuple[Fraction, LPSolution]]
     always_all_sold: bool
     efficient: bool
+    profile: tuple[SetPartition, ...]
+    evaluator: GameEvaluator = field(repr=False, compare=False)
+
+    @cached_property
+    def per_message(self) -> Mapping[tuple, tuple[Fraction, LPSolution]]:
+        return {
+            messages: self.evaluator._solution(messages)
+            for messages in itertools.product(*self.profile)
+        }
 
     def unsold_probability(self, k: int) -> Fraction:
         return sum(
@@ -84,27 +102,54 @@ def _allocation_flags(sol: LPSolution) -> tuple[bool, bool]:
 
 
 class GameEvaluator:
-    """Evaluates partition profiles for one instance with shared LP caching."""
+    """Evaluates partition profiles for one instance, caching one entry per message tuple."""
 
     def __init__(self, inst: DiscreteInstance):
         self.instance = inst
-        # messages -> (prob, solution, prob * revenue, prob * each buyer's
-        # surplus, all sold, efficient), aggregated once per LP solve
+        self._posted_price = inst.n_buyers == 1 and inst.goods == 1
+        # messages -> (prob, solution or None until first read, prob * revenue,
+        # prob * each buyer's surplus, all sold, efficient)
         self._cache: dict[tuple, tuple] = {}
 
     def _solve_messages(self, messages: tuple[tuple[int, ...], ...]):
         hit = self._cache.get(messages)
         if hit is not None:
             return hit
-        cond = condition_on_messages(self.instance, messages)
-        prob = Fraction(1)
-        for mass in cond.masses:
-            prob *= mass
-        sol = solve_instance(cond.instance)
-        per_buyer = tuple(prob * u for u in sol.mechanism.per_buyer_surplus())
-        entry = (prob, sol, prob * sol.revenue, per_buyer, *_allocation_flags(sol))
+        if self._posted_price:
+            entry = self._posted_price_entry(messages[0])
+        else:
+            cond = condition_on_messages(self.instance, messages)
+            prob = Fraction(1)
+            for mass in cond.masses:
+                prob *= mass
+            sol = solve_instance(cond.instance)
+            per_buyer = tuple(prob * u for u in sol.mechanism.per_buyer_surplus())
+            entry = (prob, sol, prob * sol.revenue, per_buyer, *_allocation_flags(sol))
         self._cache[messages] = entry
         return entry
+
+    def _posted_price_entry(self, block: tuple[int, ...]) -> tuple:
+        # On the unnormalised weights the pass returns mass * revenue and
+        # mass * utility at the conditioned price.  With one buyer every
+        # sale goes to the only bidder, so "efficient" is "all sold".
+        types = sorted(
+            (self.instance.buyers[0][i] for i in block),
+            key=lambda t: t.values[0],
+            reverse=True,
+        )
+        mass = sum((t.prob for t in types), Fraction(0))
+        revenue, utility, price = best_posted_price((t.values[0], t.prob) for t in types)
+        sold = revenue > 0 and types[-1].values[0] >= price
+        return (mass, None, revenue, (utility,), sold, sold)
+
+    def _solution(self, messages: tuple[tuple[int, ...], ...]) -> tuple[Fraction, LPSolution]:
+        """A message tuple's probability and conditioned solution."""
+        entry = self._solve_messages(messages)
+        prob, sol = entry[0], entry[1]
+        if sol is None:
+            sol = solve_instance(condition_on_messages(self.instance, messages).instance)
+            self._cache[messages] = (prob, sol, *entry[2:])
+        return prob, sol
 
     def evaluate(self, profile: Sequence[Sequence[Sequence[int]]]) -> GameOutcome:
         inst = self.instance
@@ -117,12 +162,10 @@ class GameEvaluator:
         )
         revenue = Fraction(0)
         per_buyer = [Fraction(0)] * inst.n_buyers
-        per_message: dict[tuple, tuple[Fraction, LPSolution]] = {}
         always_all_sold = True
         efficient = True
         for messages in itertools.product(*profile):
-            prob, sol, rev, utilities, sold, eff = self._solve_messages(messages)
-            per_message[messages] = (prob, sol)
+            _, _, rev, utilities, sold, eff = self._solve_messages(messages)
             revenue += rev
             for j, u in enumerate(utilities):
                 per_buyer[j] += u
@@ -133,9 +176,10 @@ class GameEvaluator:
             expected_revenue=revenue,
             per_buyer_utility=tuple(per_buyer),
             total_surplus=total,
-            per_message=per_message,
             always_all_sold=always_all_sold,
             efficient=efficient,
+            profile=profile,
+            evaluator=self,
         )
 
 

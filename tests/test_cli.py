@@ -233,6 +233,21 @@ class TestGameEval:
             capsys, "game-eval", "--instance", str(path), "--profile", profile
         )
         assert code == 1
+        assert err == f"validation error: buyer 1: {message}\n"
+
+    @pytest.mark.parametrize(
+        "profile, message",
+        [
+            ("[[[1,2,3]],[[1,true],[2,3]]]", "buyer 2: partition indices must be integers"),
+            ("[[[1,2,3]],[[1],[2]]]", "buyer 2: partition misses type indices [3]"),
+            ("[[[1,2,3]],[[1,4],[2,3]]]", "buyer 2: type index 4 out of range 1..3"),
+        ],
+    )
+    def test_second_buyer_is_named_one_based(self, capsys, auction_file, profile, message):
+        code, _, err = run(
+            capsys, "game-eval", "--instance", auction_file, "--profile", profile
+        )
+        assert code == 1
         assert err == f"validation error: {message}\n"
 
     def test_boolean_type_index_exit_1(self, capsys, auction_file):

@@ -117,6 +117,12 @@ class TestSetPartitions:
     def test_bell_values(self):
         assert [bell_number(n) for n in range(9)] == [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
+    def test_bell_number_rejects_non_sizes(self):
+        # True would otherwise count as 1 element and 2.5 fail inside range()
+        for n in (True, 2.5, -1):
+            with pytest.raises(ValidationError, match="nonnegative integer"):
+                bell_number(n)
+
     def test_canonical_form(self):
         for part in enumerate_set_partitions(5):
             assert list(part) == sorted(part)

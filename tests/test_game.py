@@ -1,16 +1,20 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from disclosure_games import game
 from disclosure_games.core import (
     BuyerType,
     DiscreteInstance,
     GuardExceeded,
     ValidationError,
+    condition_on_messages,
 )
 from disclosure_games.game import (
     GameEvaluator,
+    _allocation_flags,
     connected_partitions,
     evaluate_profile,
     rare_lows_regression,
@@ -19,7 +23,8 @@ from disclosure_games.game import (
     search_profiles,
     search_to_csv,
 )
-from disclosure_games.lpmech import joint_prob, joint_types
+from disclosure_games.hardness import reduce_to_buyer_opt, sweep_size_lists
+from disclosure_games.lpmech import joint_prob, joint_types, solve_instance, verify_mechanism
 
 F = Fraction
 
@@ -257,3 +262,94 @@ class TestEvaluatorCache:
         evaluator.evaluate((((0, 1, 2),), ((0,), (1, 2))))
         # 7 nonempty subsets per buyer at most; far fewer actually used
         assert len(evaluator._cache) == 3
+
+
+def one_buyer_corpus() -> list[DiscreteInstance]:
+    """One-buyer, one-good instances: the named edge cases, then seeded ones."""
+    corpus = [
+        # a value-0 type, whose singleton is an all-zero message
+        DiscreteInstance.build(1, [[("1/2", ["0"]), ("1/2", ["3"])]]),
+        # prices 1 and 2 both earn 1: the tie goes to the lower price
+        DiscreteInstance.build(1, [[("1/2", ["1"]), ("1/2", ["2"])]]),
+        # prices 1 and 2 both earn 2/3, with a value-0 type below them
+        DiscreteInstance.build(1, [[("1/3", ["0"]), ("1/3", ["1"]), ("1/3", ["2"])]]),
+    ]
+    rng = random.Random(1212)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        values = rng.sample(range(0, 9), n)
+        weights = [rng.randint(1, 4) for _ in values]
+        corpus.append(
+            DiscreteInstance.build(
+                1, [[(F(w, sum(weights)), [F(v)]) for w, v in zip(weights, values)]]
+            )
+        )
+    return corpus
+
+
+def every_message(inst: DiscreteInstance):
+    n = inst.n_types(0)
+    for size in range(1, n + 1):
+        yield from itertools.combinations(range(n), size)
+
+
+class TestPostedPriceEntries:
+    """One-buyer, one-good entries priced from the prior, against conditioning."""
+
+    @staticmethod
+    def conditioned_entry(inst, messages):
+        cond = condition_on_messages(inst, messages)
+        (prob,) = cond.masses
+        sol = solve_instance(cond.instance)
+        per_buyer = tuple(prob * u for u in sol.mechanism.per_buyer_surplus())
+        return (prob, prob * sol.revenue, per_buyer, *_allocation_flags(sol))
+
+    def assert_entries_match(self, inst):
+        evaluator = GameEvaluator(inst)
+        for block in every_message(inst):
+            messages = (block,)
+            prob, sol, rev, utilities, sold, eff = evaluator._solve_messages(messages)
+            assert sol is None
+            assert (prob, rev, utilities, sold, eff) == self.conditioned_entry(inst, messages)
+
+    def test_every_reduction_message(self):
+        for pp in sweep_size_lists(3, 4):
+            self.assert_entries_match(reduce_to_buyer_opt(pp).instance.to_instance())
+
+    def test_seeded_corpus(self):
+        corpus = one_buyer_corpus()
+        for inst in corpus:
+            self.assert_entries_match(inst)
+        ties = zero_messages = 0
+        for inst in corpus:
+            prior = inst.buyers[0]
+            for block in every_message(inst):
+                values = [prior[i].values[0] for i in block]
+                earned = [
+                    v * sum(prior[i].prob for i in block if prior[i].values[0] >= v)
+                    for v in values
+                ]
+                ties += max(earned) > 0 and earned.count(max(earned)) > 1
+                zero_messages += max(values) == 0
+        assert ties and zero_messages
+
+    def test_search_neither_conditions_nor_solves(self, monkeypatch):
+        inst = one_buyer_corpus()[2]  # a value-0 type and a revenue tie
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a posted-price message went through the LP path")
+
+        monkeypatch.setattr(game, "condition_on_messages", refuse)
+        monkeypatch.setattr(game, "solve_instance", refuse)
+        results = search_profiles(inst)
+        assert len(results) == 5
+        monkeypatch.undo()
+
+        for _, outcome in results:
+            for (block,), (prob, sol) in outcome.per_message.items():
+                cond = condition_on_messages(inst, (block,))
+                want = solve_instance(cond.instance)
+                assert prob == cond.masses[0]
+                assert (sol.revenue, sol.buyer_surplus) == (want.revenue, want.buyer_surplus)
+                assert (sol.mechanism.q, sol.mechanism.r) == (want.mechanism.q, want.mechanism.r)
+                assert verify_mechanism(sol.mechanism.instance, sol.mechanism).valid
