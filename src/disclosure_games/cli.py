@@ -32,7 +32,7 @@ from .dpconnected import SingleBuyerInstance, buyer_utility, dp_table
 from .game import evaluate_profile, search_profiles, search_to_csv
 from .hardness import PartitionProblem, reduce_to_buyer_opt, verify_reduction
 from .lpmech import mechanism_to_csv, posted_menu_view, solve_instance, verify_mechanism
-from .simplex import LpInfeasible, LpUnbounded
+from .simplex import LpUnbounded
 from .svgplot import allocation_svg
 from .uniform2 import (
     efficiency_witness,
@@ -417,7 +417,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
-    except (AssertionError, LpInfeasible, LpUnbounded) as exc:
+    except (AssertionError, LpUnbounded) as exc:
         print(f"assertion failure: {exc}", file=sys.stderr)
         return 2
     except GuardExceeded as exc:

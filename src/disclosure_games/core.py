@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-Rational = Fraction
-
 SET_PARTITION_GUARD = 12
 
 
@@ -109,13 +107,13 @@ class DiscreteInstance:
             raise ValidationError(f"buyers must be a tuple of type tuples, got {self.buyers!r}")
         if not self.buyers:
             raise ValidationError("instance needs at least one buyer")
-        for j, prior in enumerate(self.buyers):
+        for j, prior in enumerate(self.buyers, 1):
             if not isinstance(prior, tuple):
                 raise ValidationError(f"buyer {j} must be a tuple of BuyerType, got {prior!r}")
             if not prior:
                 raise ValidationError(f"buyer {j} has no types")
             total = Fraction(0)
-            for i, t in enumerate(prior):
+            for i, t in enumerate(prior, 1):
                 if not isinstance(t, BuyerType) or not isinstance(t.values, tuple):
                     raise ValidationError(
                         f"buyer {j} type {i} must be a BuyerType with a tuple of values, got {t!r}"
@@ -176,11 +174,11 @@ def parse_instance(text: str) -> DiscreteInstance:
     if not isinstance(doc["buyers"], list):
         raise ValidationError('"buyers" must be an array')
     buyers = []
-    for j, prior in enumerate(doc["buyers"]):
+    for j, prior in enumerate(doc["buyers"], 1):
         if not isinstance(prior, list):
             raise ValidationError(f"buyer {j} must be an array of types")
         row = []
-        for i, entry in enumerate(prior):
+        for i, entry in enumerate(prior, 1):
             if not isinstance(entry, dict) or set(entry) != {"prob", "values"}:
                 raise ValidationError(
                     f'buyer {j} type {i} must be an object with keys "prob" and "values"'
@@ -352,12 +350,10 @@ def serialize_partition_profile(profile: Sequence[SetPartition]) -> str:
 class ConditionedInstance:
     """An instance restricted to one message per buyer, with renormalized priors.
 
-    ``index_maps[j][t]`` is the original type index behind restricted type t of
-    buyer j, and ``masses[j]`` the prior probability of buyer j's message.
+    ``masses[j]`` is the prior probability of buyer j's message.
     """
 
     instance: DiscreteInstance
-    index_maps: tuple[tuple[int, ...], ...]
     masses: tuple[Fraction, ...]
 
 
@@ -366,24 +362,20 @@ def condition_on_messages(inst: DiscreteInstance, messages: Sequence[Sequence[in
     if len(messages) != inst.n_buyers:
         raise ValidationError(f"need one message per buyer ({inst.n_buyers})")
     buyers = []
-    maps = []
     masses = []
     for j, msg in enumerate(messages):
         idx = tuple(sorted(set(msg)))
         if not idx:
-            raise ValidationError(f"buyer {j}: empty message")
+            raise ValidationError(f"buyer {j + 1}: empty message")
         if len(idx) != len(msg):
-            raise ValidationError(f"buyer {j}: message repeats a type index")
+            raise ValidationError(f"buyer {j + 1}: message repeats a type index")
         prior = inst.buyers[j]
         if idx[0] < 0 or idx[-1] >= len(prior):
-            raise ValidationError(f"buyer {j}: message index out of range")
+            raise ValidationError(f"buyer {j + 1}: message index out of range")
         mass = sum((prior[i].prob for i in idx), Fraction(0))
         buyers.append(tuple(BuyerType(prior[i].prob / mass, prior[i].values) for i in idx))
-        maps.append(idx)
         masses.append(mass)
-    return ConditionedInstance(
-        DiscreteInstance(inst.goods, tuple(buyers)), tuple(maps), tuple(masses)
-    )
+    return ConditionedInstance(DiscreteInstance(inst.goods, tuple(buyers)), tuple(masses))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .core import (
     GuardExceeded,
     SetPartition,
     ValidationError,
+    bell_number,
     canonical_partition,
     compositions,
     condition_on_messages,
@@ -220,19 +221,20 @@ def search_profiles(
     """Evaluate every partition profile, best buyer surplus first.
 
     Exact-rational surplus ties are broken toward the canonically smaller
-    profile, so rankings are reproducible.
+    profile, so rankings are reproducible.  The profile count, a product of
+    Bell numbers (2^(n-1) per buyer when ``connected_only``), is checked
+    against ``guard`` before any partition is listed.
     """
-    per_buyer: list[list[SetPartition]] = []
-    for j in range(inst.n_buyers):
-        if connected_only:
-            per_buyer.append(connected_partitions(inst, j))
-        else:
-            per_buyer.append(list(enumerate_set_partitions(inst.n_types(j))))
     count = 1
-    for parts in per_buyer:
-        count *= len(parts)
+    for j in range(inst.n_buyers):
+        n = inst.n_types(j)
+        count *= 2 ** (n - 1) if connected_only else bell_number(n)
     if count > guard:
         raise GuardExceeded(f"profile search would evaluate {count} > {guard} profiles")
+    per_buyer = [
+        connected_partitions(inst, j) if connected_only else enumerate_set_partitions(inst.n_types(j))
+        for j in range(inst.n_buyers)
+    ]
     evaluator = GameEvaluator(inst)
     results = [
         (profile, evaluator.evaluate(profile))

@@ -1,11 +1,15 @@
 """Exact linear programming over rationals by the simplex method.
 
-Maximizes linear objectives over {x >= 0 : Ax (<=|>=|==) b} with no
-floating point anywhere, so optima come out as the exact fractions the
-rest of the package compares against.  Rows are stored sparsely (a dict
-per constraint) but the algorithm is the plain tableau method: Dantzig
-pricing while it makes progress, switching to Bland's rule whenever
-degenerate pivots pile up, which guarantees termination.
+Maximizes linear objectives over {x >= 0 : Ax <= b} for rows that hold at
+x = 0: ``add_le`` takes a right-hand side b >= 0 and ``add_ge`` one b <= 0.
+That is the one form the package builds, and it suffices because the
+mechanism that sells nothing and charges nothing meets every supply, IR
+and IC row.  So every row's slack starts basic and no phase 1 is needed.
+Floating point appears nowhere, so optima come out as the exact fractions
+the rest of the package compares against.  Rows are stored sparsely (a
+dict per constraint) but the algorithm is the plain tableau method:
+Dantzig pricing while it makes progress, switching to Bland's rule
+whenever degenerate pivots pile up, which guarantees termination.
 
 The tableau holds no Fraction.  Each row is a dict of int numerators and
 an int right-hand side over one positive int denominator, and the
@@ -41,10 +45,6 @@ from .core import GuardExceeded, ValidationError, parse_rational
 _BLAND_TRIGGER = 40
 
 
-class LpInfeasible(RuntimeError):
-    pass
-
-
 class LpUnbounded(RuntimeError):
     pass
 
@@ -59,8 +59,7 @@ class SimplexResult:
 def _subtract(row: dict, d: int, f: int, items) -> None:
     """row = d * row - f * items over ints, keeping key order and dropping zeros.
 
-    Scaling by d != 0 makes no zero, and keys keep their first-insertion
-    order, which is the order artificial eviction scans.
+    Scaling by d != 0 makes no zero.
     """
     if d != 1:
         for j in row:
@@ -116,13 +115,18 @@ class ExactSimplex:
         return out
 
     def add_le(self, coeffs, rhs):
-        self._constraints.append((self._coeffs(coeffs), "<=", parse_rational(rhs)))
+        """Add coeffs . x <= rhs; rhs must be nonnegative, so that x = 0 meets it."""
+        row, rhs = self._coeffs(coeffs), parse_rational(rhs)
+        if rhs < 0:
+            raise ValidationError(f"<= row needs a nonnegative right-hand side, got {rhs}")
+        self._constraints.append((row, "<=", rhs))
 
     def add_ge(self, coeffs, rhs):
-        self._constraints.append((self._coeffs(coeffs), ">=", parse_rational(rhs)))
-
-    def add_eq(self, coeffs, rhs):
-        self._constraints.append((self._coeffs(coeffs), "==", parse_rational(rhs)))
+        """Add coeffs . x >= rhs; rhs must be nonpositive, so that x = 0 meets it."""
+        row, rhs = self._coeffs(coeffs), parse_rational(rhs)
+        if rhs > 0:
+            raise ValidationError(f">= row needs a nonpositive right-hand side, got {rhs}")
+        self._constraints.append((row, ">=", rhs))
 
     @property
     def n_constraints(self) -> int:
@@ -131,67 +135,25 @@ class ExactSimplex:
     # -- tableau construction ------------------------------------------------
 
     def _build(self):
-        """Assemble rows with slack/artificial columns and run phase 1 if needed."""
+        """Assemble the all-slack tableau: row i's slack, column n_vars + i, is basic."""
         rows: list[dict] = []
         rhs: list[int] = []
         den: list[int] = []
-        basis: list[int] = []
-        next_col = self.n_vars
-        artificials: list[int] = []
-        for coeffs, sense, b in self._constraints:
+        for i, (coeffs, sense, b) in enumerate(self._constraints):
             row, b, d = _integer_row(coeffs, b)
             if sense == ">=":
                 row = {j: -v for j, v in row.items()}
                 b = -b
-                sense = "<="
-            if sense == "<=" and b >= 0:
-                row[next_col] = d  # slack, basic
-                basis.append(next_col)
-                next_col += 1
-            else:
-                if b < 0:
-                    row = {j: -v for j, v in row.items()}
-                    b = -b
-                    if sense == "<=":  # now a >= row: add surplus
-                        row[next_col] = -d
-                        next_col += 1
-                row[next_col] = d  # artificial, basic
-                basis.append(next_col)
-                artificials.append(next_col)
-                next_col += 1
+            row[self.n_vars + i] = d
             rows.append(row)
             rhs.append(b)
             den.append(d)
         self._rows = rows
         self._rhs = rhs
         self._den = den
-        self._basis = basis
+        self._basis = list(range(self.n_vars, self.n_vars + len(rows)))
         self._pivots = 0
         self._forbidden: set[int] = set()
-        if artificials:
-            if self._maximize({j: Fraction(-1) for j in artificials}) != 0:
-                raise LpInfeasible("constraints admit no nonnegative solution")
-            self._evict_artificials(set(artificials))
-            self._forbidden |= set(artificials)
-
-    def _evict_artificials(self, artificials: set[int]):
-        # a basic artificial at value zero either pivots out on any usable
-        # column or marks a redundant row we can drop
-        for r in range(len(self._rows) - 1, -1, -1):
-            if self._basis[r] not in artificials:
-                continue
-            col = None
-            for j, v in self._rows[r].items():
-                if j not in artificials and j != self._basis[r] and v != 0:
-                    col = j
-                    break
-            if col is None:
-                del self._rows[r]
-                del self._rhs[r]
-                del self._den[r]
-                del self._basis[r]
-            else:
-                self._pivot(r, col)
 
     # -- pricing and pivoting ------------------------------------------------
 

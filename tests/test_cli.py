@@ -171,6 +171,34 @@ class TestLpSolve:
         assert code == 1
         assert "boolean" in err
 
+    @pytest.mark.parametrize(
+        "buyers, message",
+        [
+            (
+                [[{"prob": "1/2", "values": ["1"]}, {"prob": "1/2", "values": ["-2"]}]],
+                "buyer 1 type 2: values must be nonnegative",
+            ),
+            (
+                [[{"prob": "1/2", "values": ["1"]}, {"prob": "1/3", "values": ["2"]}]],
+                "buyer 1: type probabilities sum to 5/6, expected 1",
+            ),
+            (
+                [[{"prob": "1", "values": ["1"]}],
+                 [{"prob": "1/2", "values": ["1"]}, {"prob": "1/2"}]],
+                'buyer 2 type 2 must be an object with keys "prob" and "values"',
+            ),
+        ],
+        ids=["negative-value", "probabilities-sum-to-5/6", "second-buyer-missing-values"],
+    )
+    def test_instance_errors_name_buyers_and_types_one_based(
+        self, capsys, tmp_path, buyers, message
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"goods": 1, "buyers": buyers}))
+        code, _, err = run(capsys, "lp-solve", "--instance", str(path))
+        assert code == 1
+        assert err == f"validation error: {message}\n"
+
 
 class TestGameEval:
     def test_no_disclosure(self, capsys, auction_file):

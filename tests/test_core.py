@@ -165,7 +165,6 @@ class TestConditioning:
         inst = parse_instance(INSTANCE_DOC)
         cond = condition_on_messages(inst, [[0, 1]])
         assert cond.masses == (Fraction(8, 9),)
-        assert cond.index_maps == ((0, 1),)
         probs = [t.prob for t in cond.instance.buyers[0]]
         assert probs == [Fraction(3, 8), Fraction(5, 8)]
 

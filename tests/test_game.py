@@ -210,6 +210,29 @@ class TestSearch:
         with pytest.raises(GuardExceeded):
             search_profiles(TWO_BUYERS_123, guard=3)
 
+    @pytest.mark.parametrize("connected_only, count", [(False, 25), (True, 16)])
+    def test_guard_is_the_exact_profile_count(self, connected_only, count):
+        results = search_profiles(TWO_BUYERS_123, connected_only, guard=count)
+        assert len(results) == count
+        with pytest.raises(GuardExceeded, match=f"would evaluate {count} > {count - 1} profiles"):
+            search_profiles(TWO_BUYERS_123, connected_only, guard=count - 1)
+
+    @pytest.mark.parametrize(
+        "n, connected_only, count", [(12, False, 4_213_597), (21, True, 2**20)]
+    )
+    def test_guard_fires_before_any_partition_is_listed(
+        self, monkeypatch, n, connected_only, count
+    ):
+        inst = DiscreteInstance.build(1, [[(f"1/{n}", [str(i)]) for i in range(n)]])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("partitions listed before the guard")
+
+        monkeypatch.setattr(game, "enumerate_set_partitions", refuse)
+        monkeypatch.setattr(game, "connected_partitions", refuse)
+        with pytest.raises(GuardExceeded, match=f"would evaluate {count} > 1000000 profiles"):
+            search_profiles(inst, connected_only)
+
     def test_csv_round_trip_shape(self):
         results = search_profiles(TWO_BUYERS_123)
         text = search_to_csv(results)
