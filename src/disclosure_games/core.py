@@ -364,6 +364,10 @@ def condition_on_messages(inst: DiscreteInstance, messages: Sequence[Sequence[in
     buyers = []
     masses = []
     for j, msg in enumerate(messages):
+        for i in msg:
+            # bool is an int subclass, but True is not a type index
+            if type(i) is not int:
+                raise ValidationError(f"buyer {j + 1}: message indices must be integers, got {i!r}")
         idx = tuple(sorted(set(msg)))
         if not idx:
             raise ValidationError(f"buyer {j + 1}: empty message")

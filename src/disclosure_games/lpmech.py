@@ -324,6 +324,13 @@ def verify_mechanism(inst: DiscreteInstance, mech: Mechanism) -> VerificationRep
     and buyer surplus if there is none.  Every utility, the revenue and the
     surplus come from ``inst`` and the mechanism's q and r alone, never from
     the mechanism's own aggregates, which read ``mech.instance``.
+
+    Buyers are independent, so interim IC reduces to per-type sums (Myerson
+    1981): with Q_j(i2) and R_j(i2) the allocation and payment buyer j gets
+    by reporting i2, averaged over the others' types, type i gains
+    p_j(i) (v_i . Q_j(i2) - R_j(i2)) in expectation by that report.  One
+    pass builds Q and R; then every ordered pair (i, i2), i ascending and
+    i2 ascending within it, is compared with type i's truthful utility.
     """
     jts = joint_types(inst)
     if mech.instance is not inst and joint_types(mech.instance) != jts:
@@ -369,28 +376,30 @@ def verify_mechanism(inst: DiscreteInstance, mech: Mechanism) -> VerificationRep
         truthful.append(u)
         revenue += w * sum(mech.r[t], Fraction(0))
         surplus += w * sum(u, Fraction(0))
-    slot = {jt: t for t, jt in enumerate(jts)}
     for j in range(inst.n_buyers):
-        nj = inst.n_types(j)
+        prior = inst.buyers[j]
+        nj = len(prior)
         interim = [Fraction(0)] * nj
-        gains: dict[tuple[int, int], Fraction] = {}
+        alloc = [[Fraction(0)] * inst.goods for _ in range(nj)]
+        pay = [Fraction(0)] * nj
         for t, jt in enumerate(jts):
-            w = weights[t]
             i = jt[j]
-            interim[i] += w * truthful[t][j]
-            values = inst.buyers[j][i].values
+            interim[i] += weights[t] * truthful[t][j]
+            w = weights[t] / prior[i].prob
+            pay[i] += w * mech.r[t][j]
+            qs = alloc[i]
+            for k, qq in enumerate(mech.q[t][j]):
+                qs[k] += w * qq
+        for i in range(nj):
+            p, values = prior[i].prob, prior[i].values
             for i2 in range(nj):
                 if i2 == i:
                     continue
-                d = list(jt)
-                d[j] = i2
-                deviant = utility(values, slot[tuple(d)], j)
-                gains[(i, i2)] = gains.get((i, i2), Fraction(0)) + w * deviant
-        for (i, i2), dev in gains.items():
-            if dev > interim[i]:
-                return fail(
-                    f"IC violated for buyer {j + 1}: type {i + 1} gains by reporting {i2 + 1}"
-                )
+                deviant = sum((v * qq for v, qq in zip(values, alloc[i2])), Fraction(0)) - pay[i2]
+                if p * deviant > interim[i]:
+                    return fail(
+                        f"IC violated for buyer {j + 1}: type {i + 1} gains by reporting {i2 + 1}"
+                    )
     return VerificationReport(True, None, revenue, surplus)
 
 

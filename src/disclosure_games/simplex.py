@@ -26,6 +26,10 @@ pins the stage objective to its optimum exactly (the reduced-cost
 identity holds over the whole feasible set), and the next objective is
 re-priced on the same basis.
 
+A pivot touches only the rows that hold the entering column: one scan
+finds them, the ratio test picks among them, and only they are updated.
+A mechanism LP's column has a handful of nonzeros among hundreds of rows.
+
 Pricing takes one pass.  Basic columns are unit columns, so an
 objective c priced against basic rows R is c - sum over r in R of
 c_B(r) row_r / den_r, computed over the lcm of those rows' denominators
@@ -94,8 +98,11 @@ class ExactSimplex:
     """A maximization LP over n nonnegative structural variables."""
 
     def __init__(self, n_vars: int, pivot_cap: int = 2_000_000):
-        if n_vars < 1:
-            raise ValidationError("need at least one variable")
+        # bool is an int subclass, but True is not a count
+        if type(n_vars) is not int or n_vars < 1:
+            raise ValidationError(f"n_vars must be an integer >= 1, got {n_vars!r}")
+        if type(pivot_cap) is not int or pivot_cap < 0:
+            raise ValidationError(f"pivot_cap must be an integer >= 0, got {pivot_cap!r}")
         self.n_vars = n_vars
         self.pivot_cap = pivot_cap
         self._constraints: list[tuple[dict, str, object]] = []
@@ -107,8 +114,10 @@ class ExactSimplex:
             items = ((j, v) for j, v in enumerate(coeffs))
         out = {}
         for j, v in items:
-            if not 0 <= j < self.n_vars:
-                raise ValidationError(f"variable index {j} out of range")
+            if type(j) is not int or not 0 <= j < self.n_vars:
+                raise ValidationError(
+                    f"variable index must be an int in 0..{self.n_vars - 1}, got {j!r}"
+                )
             v = parse_rational(v)
             if v != 0:
                 out[j] = v
@@ -171,7 +180,8 @@ class ExactSimplex:
             col = self._choose_col(bland)
             if col is None:
                 return Fraction(self._value, self._goal_den)
-            r = self._choose_row(col)
+            rs = [i for i, row in enumerate(self._rows) if col in row]
+            r = self._choose_row(col, rs)
             if r is None:
                 raise LpUnbounded(f"objective unbounded along variable {col}")
             if self._rhs[r] == 0:
@@ -181,7 +191,7 @@ class ExactSimplex:
             else:
                 degenerate_run = 0
                 bland = False
-            self._pivot(r, col)
+            self._pivot(r, col, rs)
             if self._pivots > self.pivot_cap:
                 raise GuardExceeded(f"simplex exceeded {self.pivot_cap} pivots")
 
@@ -217,16 +227,18 @@ class ExactSimplex:
                 best, best_g = j, g
         return best
 
-    def _choose_row(self, col: int) -> Optional[int]:
+    def _choose_row(self, col: int, rs: list[int]) -> Optional[int]:
         """Least ratio rhs / entry over positive entries, ties to the least basic index.
 
-        A row's denominator cancels from its ratio, so ratios compare by
-        cross-multiplying numerators.
+        ``rs`` lists the rows that hold ``col``; the tie rule makes their
+        order irrelevant.  A row's denominator cancels from its ratio, so
+        ratios compare by cross-multiplying numerators.
         """
+        rows = self._rows
         best = best_b = best_a = None
-        for r, row in enumerate(self._rows):
-            a = row.get(col)
-            if a is None or a <= 0:
+        for r in rs:
+            a = rows[r][col]
+            if a <= 0:
                 continue
             b = self._rhs[r]
             if best is None or (
@@ -236,12 +248,14 @@ class ExactSimplex:
                 best, best_b, best_a = r, b, a
         return best
 
-    def _pivot(self, r: int, col: int):
-        """Make ``col`` basic in row r: update every row, then the reduced-cost row.
+    def _pivot(self, r: int, col: int, rs: list[int]):
+        """Make ``col`` basic in row r: update the rows ``rs``, then the reduced-cost row.
 
+        ``rs`` lists the rows that hold ``col``, from the one scan the ratio
+        test shares; no other row changes, and the updates are independent.
         Row r takes its pivot numerator p as denominator (sign moved onto the
-        row), so its entry in ``col`` reads 1; every other row i becomes
-        (N_i p - N_i[col] N_r) / (D_i p).
+        row), so its entry in ``col`` reads 1; every other row i in ``rs``
+        becomes (N_i p - N_i[col] N_r) / (D_i p).
         """
         rows = self._rows
         rhs = self._rhs
@@ -257,11 +271,10 @@ class ExactSimplex:
             p = den[r]
         items = tuple(rowr.items())
         rr = rhs[r]
-        for i, row in enumerate(rows):
-            if i == r:
-                continue
-            f = row.get(col)
-            if f:
+        for i in rs:
+            if i != r:
+                row = rows[i]
+                f = row[col]
                 _subtract(row, p, f, items)
                 rhs[i], den[i] = _primitive(row, rhs[i] * p - f * rr, den[i] * p)
         self._basis[r] = col

@@ -178,6 +178,17 @@ class TestConditioning:
         with pytest.raises(ValidationError):
             condition_on_messages(inst, [[0, 3]])
 
+    @pytest.mark.parametrize("bad", [True, False, 1.0, "1", None, Fraction(1)])
+    def test_rejects_non_int_indices(self, bad):
+        inst = DiscreteInstance.build(
+            1, [[("1/2", ["1"]), ("1/2", ["2"])], [("1/3", ["1"]), ("2/3", ["3"])]]
+        )
+        with pytest.raises(ValidationError, match=r"^buyer 1: message indices must be integers"):
+            condition_on_messages(inst, [(bad,), (0,)])
+        with pytest.raises(ValidationError, match=r"^buyer 2: message indices must be integers"):
+            condition_on_messages(inst, [(0, 1), (0, bad)])
+        assert condition_on_messages(inst, [(1,), (0, 1)]).masses == (Fraction(1, 2), Fraction(1))
+
 
 class TestPartitionDocuments:
     def test_parse_one_based(self):

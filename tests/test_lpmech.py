@@ -407,6 +407,184 @@ class TestAdjacentIcRows:
             assert [report.revenue, report.buyer_surplus] == stages[1]
 
 
+def reference_ic_violations(inst: DiscreteInstance, mech: Mechanism):
+    """Yield each (buyer, type, report) whose deviation gains, in the order
+    the per-joint-type check finds them: buyer, then type, then report.
+
+    The joint-type deviation loop, kept as an oracle for the interim-sum
+    check: every deviant utility is summed from the joint types themselves.
+    """
+    jts = list(itertools.product(*(range(len(prior)) for prior in inst.buyers)))
+    slot = {jt: t for t, jt in enumerate(jts)}
+
+    def weight(jt):
+        w = F(1)
+        for j, i in enumerate(jt):
+            w *= inst.buyers[j][i].prob
+        return w
+
+    def utility(values, t, j):
+        return sum((v * qq for v, qq in zip(values, mech.q[t][j])), F(0)) - mech.r[t][j]
+
+    for j, prior in enumerate(inst.buyers):
+        interim = [F(0)] * len(prior)
+        gains = {}
+        for t, jt in enumerate(jts):
+            w = weight(jt)
+            i = jt[j]
+            interim[i] += w * utility(prior[i].values, t, j)
+            for i2 in range(len(prior)):
+                if i2 != i:
+                    d = slot[jt[:j] + (i2,) + jt[j + 1:]]
+                    gains[(i, i2)] = gains.get((i, i2), F(0)) + w * utility(prior[i].values, d, j)
+        for (i, i2), dev in gains.items():
+            if dev > interim[i]:
+                yield j, i, i2
+
+
+def reference_verify(inst: DiscreteInstance, mech: Mechanism) -> tuple:
+    """(valid, failure, revenue, buyer_surplus) by the per-joint-type check."""
+    jts = list(itertools.product(*(range(len(prior)) for prior in inst.buyers)))
+    revenue = surplus = F(0)
+    for t, jt in enumerate(jts):
+        for j in range(inst.n_buyers):
+            if mech.r[t][j] < 0:
+                return False, f"negative payment at joint type {jt}, buyer {j + 1}", None, None
+            for k in range(inst.goods):
+                if mech.q[t][j][k] < 0:
+                    return (
+                        False,
+                        f"negative allocation at joint type {jt}, buyer {j + 1}, good {k + 1}",
+                        None,
+                        None,
+                    )
+        for k in range(inst.goods):
+            if sum((mech.q[t][j][k] for j in range(inst.n_buyers)), F(0)) > 1:
+                return False, f"good {k + 1} oversold at joint type {jt}", None, None
+        w = F(1)
+        u = []
+        for j, i in enumerate(jt):
+            w *= inst.buyers[j][i].prob
+            values = inst.buyers[j][i].values
+            u.append(sum((v * qq for v, qq in zip(values, mech.q[t][j])), F(0)) - mech.r[t][j])
+        for j in range(inst.n_buyers):
+            if u[j] < 0:
+                return False, f"IR violated at joint type {jt} for buyer {j + 1}", None, None
+        revenue += w * sum(mech.r[t], F(0))
+        surplus += w * sum(u, F(0))
+    for j, i, i2 in reference_ic_violations(inst, mech):
+        return (
+            False,
+            f"IC violated for buyer {j + 1}: type {i + 1} gains by reporting {i2 + 1}",
+            None,
+            None,
+        )
+    return True, None, revenue, surplus
+
+
+def value_order_adjacent(prior, i: int, i2: int) -> bool:
+    """Whether types i and i2 are neighbours in (values, index) order."""
+    order = sorted(range(len(prior)), key=lambda x: (prior[x].values, x))
+    return abs(order.index(i) - order.index(i2)) == 1
+
+
+def perturbed(inst: DiscreteInstance, mech: Mechanism, rng: random.Random) -> Mechanism:
+    """The mechanism with one or two edits: one joint type's payment lowered,
+    another's raised, or an allocation moved to another type of its buyer."""
+    jts = joint_types(inst)
+    q = [[list(qj) for qj in qt] for qt in mech.q]
+    r = [list(rt) for rt in mech.r]
+    for _ in range(rng.randint(1, 2)):
+        t = rng.randrange(len(jts))
+        j = rng.randrange(inst.n_buyers)
+        kind = rng.choice(("lower", "raise", "move"))
+        if kind == "lower":
+            r[t][j] = r[t][j] * rng.choice((F(0), F(1, 2), F(3, 4))) - rng.choice((0, 0, 0, 1))
+        elif kind == "raise":
+            r[t][j] += rng.choice((F(1, 4), F(1), F(2)))
+        elif inst.n_types(j) > 1:
+            i2 = rng.choice([i for i in range(inst.n_types(j)) if i != jts[t][j]])
+            d = jts.index(jts[t][:j] + (i2,) + jts[t][j + 1:])
+            k = rng.randrange(inst.goods)
+            moved = q[t][j][k] * rng.choice((F(1), F(1, 2)))
+            q[t][j][k] -= moved
+            q[d][j][k] += moved
+    return Mechanism(
+        inst,
+        tuple(tuple(tuple(qj) for qj in qt) for qt in q),
+        tuple(tuple(rt) for rt in r),
+    )
+
+
+def interim_ic_corpus(seed: int) -> list[tuple[DiscreteInstance, Mechanism]]:
+    """Solver outputs and seeded perturbations of them: multi-buyer one-good,
+    one-buyer multi-good and two-buyer two-good instances, plus a one-buyer,
+    two-good menu whose only IC violation is between types two apart in
+    value order."""
+    rng = random.Random(seed)
+    instances = [inst for inst in one_good_corpus(seed, 40) if inst.n_buyers > 1]
+    while len(instances) < 80:
+        goods, n_buyers = rng.choice(((2, 1), (3, 1), (2, 2)))
+        buyers = []
+        for _ in range(n_buyers):
+            n = rng.randint(2, 4 if n_buyers == 1 else 3)
+            weights = [rng.randint(1, 4) for _ in range(n)]
+            vals = set()
+            while len(vals) < n:
+                vals.add(tuple(F(rng.randint(0, 8), rng.choice((1, 2))) for _ in range(goods)))
+            buyers.append(
+                tuple(BuyerType(F(w, sum(weights)), v) for w, v in zip(weights, sorted(vals)))
+            )
+        instances.append(DiscreteInstance(goods, tuple(buyers)))
+    corpus = []
+    for inst in instances:
+        mech = solve_instance(inst).mechanism
+        corpus.append((inst, mech))
+        corpus.extend((inst, perturbed(inst, mech, rng)) for _ in range(6))
+    # types in value order (0,4) < (1,0) < (2,0): the first gains only by
+    # reporting the third, which sells the bundle for 1
+    menu = DiscreteInstance.build(
+        2, [[("1/3", ["0", "4"]), ("1/3", ["1", "0"]), ("1/3", ["2", "0"])]]
+    )
+    q = (((F(0), F(0)),), ((F(1), F(0)),), ((F(1), F(1)),))
+    r = ((F(0),), (F(1),), (F(1),))
+    corpus.append((menu, Mechanism(menu, q, r)))
+    return corpus
+
+
+class TestInterimIcCheck:
+    """``verify_mechanism``'s interim-sum IC check gives the report of the
+    per-joint-type deviation loop on every case."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return interim_ic_corpus(20261018)
+
+    def test_same_report_as_the_joint_type_loop(self, corpus):
+        for inst, mech in corpus:
+            report = verify_mechanism(inst, mech)
+            got = (report.valid, report.failure, report.revenue, report.buyer_surplus)
+            assert got == reference_verify(inst, mech), inst
+
+    def test_corpus_covers_the_cases(self, corpus):
+        failures = [reference_verify(inst, mech)[1] or "" for inst, mech in corpus]
+        assert failures.count("") >= 80
+        for kind in ("IR violated", "IC violated", "oversold"):
+            assert any(kind in f for f in failures), kind
+        shapes = {(inst.n_buyers > 1, inst.goods > 1) for inst, _ in corpus}
+        assert shapes == {(True, False), (False, True), (True, True)}
+        far_only = [
+            inst
+            for (inst, mech), f in zip(corpus, failures)
+            if f.startswith("IC violated")
+            and not any(
+                value_order_adjacent(inst.buyers[j], i, i2)
+                for j, i, i2 in reference_ic_violations(inst, mech)
+            )
+        ]
+        assert far_only
+
+
 def full_lp_solution(inst: DiscreteInstance) -> tuple:
     """(revenue, surplus, q, r) of the one-buyer, one-good LP with every row."""
     system = build_lp(inst)

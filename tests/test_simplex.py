@@ -54,6 +54,35 @@ class TestBasicSolves:
         with pytest.raises(ValidationError):
             lp.add_le({3: 1}, 1)
 
+    @pytest.mark.parametrize("index", [True, False, 1.5, 1.0, "1", None])
+    def test_non_int_variable_index_rejected(self, index):
+        lp = ExactSimplex(2)
+        with pytest.raises(ValidationError, match=r"variable index must be an int in 0\.\.1"):
+            lp.add_le({index: 1}, 1)
+        with pytest.raises(ValidationError, match=r"variable index must be an int in 0\.\.1"):
+            lp.add_ge({index: 1}, 0)
+        lp.add_le({0: 1, 1: 1}, 1)
+        with pytest.raises(ValidationError, match=r"variable index must be an int in 0\.\.1"):
+            lp.solve({index: 1})
+        assert lp.n_constraints == 1
+
+    @pytest.mark.parametrize("n_vars", [True, 2.0, 0, -1, "2", None])
+    def test_n_vars_must_be_a_positive_int(self, n_vars):
+        with pytest.raises(ValidationError, match="n_vars must be an integer >= 1"):
+            ExactSimplex(n_vars)
+
+    @pytest.mark.parametrize("cap", [True, False, -1, 1.0, "5", None])
+    def test_pivot_cap_must_be_a_nonnegative_int(self, cap):
+        with pytest.raises(ValidationError, match="pivot_cap must be an integer >= 0"):
+            ExactSimplex(2, pivot_cap=cap)
+
+    def test_zero_pivot_cap_allows_no_pivot(self):
+        lp = ExactSimplex(1, pivot_cap=0)
+        lp.add_le({0: 1}, 1)
+        assert lp.solve({0: -1}).objective == 0
+        with pytest.raises(GuardExceeded):
+            lp.solve({0: 1})
+
     def test_binary_floats_rejected(self):
         lp = ExactSimplex(1)
         with pytest.raises(ValidationError):
