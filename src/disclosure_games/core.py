@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -359,11 +360,15 @@ class ConditionedInstance:
 
 def condition_on_messages(inst: DiscreteInstance, messages: Sequence[Sequence[int]]) -> ConditionedInstance:
     """Restrict each buyer to a message (subset of type indices) and renormalize."""
-    if len(messages) != inst.n_buyers:
-        raise ValidationError(f"need one message per buyer ({inst.n_buyers})")
+    if not isinstance(messages, abc.Sequence) or len(messages) != inst.n_buyers:
+        raise ValidationError(f"need one message per buyer ({inst.n_buyers}), got {messages!r}")
     buyers = []
     masses = []
     for j, msg in enumerate(messages):
+        if not isinstance(msg, abc.Sequence):
+            raise ValidationError(
+                f"buyer {j + 1}: a message must be a sequence of type indices, got {msg!r}"
+            )
         for i in msg:
             # bool is an int subclass, but True is not a type index
             if type(i) is not int:

@@ -32,6 +32,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -266,14 +267,30 @@ def best_posted_price(
     the largest (revenue, utility, price) triple: a revenue tie goes to the
     lower price, which serves more mass of positive value and so leaves
     strictly more utility.
+
+    The pass runs on ints: the values as numerators over their lcm V and
+    the weights over theirs, W.  Revenue and utility are then numerators
+    over V W and the price over V; both scales are positive, so the ints
+    order the candidates as their fractions do.  Fractions appear only at
+    the boundary: the two returned sums, built once, and the price, which
+    is the winning pair's own value.
     """
+    pairs = list(pairs)
+    if not pairs:
+        raise ValidationError("a posted price needs at least one (value, weight) pair")
+    v_scale = lcm(*(v.denominator for v, _ in pairs))
+    w_scale = lcm(*(w.denominator for _, w in pairs))
     candidates = []
-    mass = weighted = Fraction(0)
+    mass = weighted = 0
     for value, weight in pairs:
-        mass += weight
-        weighted += weight * value
-        candidates.append((value * mass, weighted - value * mass, value))
-    return max(candidates)
+        v = value.numerator * (v_scale // value.denominator)
+        w = weight.numerator * (w_scale // weight.denominator)
+        mass += w
+        weighted += w * v
+        candidates.append((v * mass, weighted - v * mass, v, value))
+    revenue, utility, _, price = max(candidates)
+    scale = v_scale * w_scale
+    return Fraction(revenue, scale), Fraction(utility, scale), price
 
 
 def solve_instance(inst: DiscreteInstance, variable_budget: int = DEFAULT_VARIABLE_BUDGET) -> LPSolution:

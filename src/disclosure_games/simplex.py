@@ -15,10 +15,16 @@ The tableau holds no Fraction.  Each row is a dict of int numerators and
 an int right-hand side over one positive int denominator, and the
 reduced-cost row shares one positive denominator with its value; a gcd
 pass after every update keeps each touched row primitive (the
-integer-preserving elimination of Bareiss 1968 and QSopt_ex).  Every
-entry is the same rational the Fraction tableau would hold, so every
-pivot choice is the same.  Fractions appear only at the boundary: the
-coefficients taken in and the optima and values handed back.
+integer-preserving elimination of Bareiss 1968 and QSopt_ex).  An update
+scales by exact quotients, not by whole denominators: row i, with entry f
+in the entering column, becomes N_i (p/g) - (f/g) N_r over D_i (p/g), where
+p is the pivot row's denominator and g = gcd(p, f), so a row whose f is a
+multiple of p is not scaled at all.  Every entry is still the same
+rational the Fraction tableau would hold: a rational row has exactly one
+primitive form with a positive denominator, and the gcd pass restores it
+whatever common factor the update left.  So every pivot choice is the
+same.  Fractions appear only at the boundary: the coefficients taken in
+and the optima and values handed back.
 
 Lexicographic solves reuse one tableau: after each stage the nonbasic
 columns with strictly negative reduced cost are frozen at zero, which
@@ -33,8 +39,9 @@ A mechanism LP's column has a handful of nonzeros among hundreds of rows.
 Pricing takes one pass.  Basic columns are unit columns, so an
 objective c priced against basic rows R is c - sum over r in R of
 c_B(r) row_r / den_r, computed over the lcm of those rows' denominators
-with one scaling of the reduced-cost row and one gcd pass.  A new stage
-prices against every row; a pivot prices against its pivot row alone.
+(reduced by its gcd with every multiplier) with one scaling of the
+reduced-cost row and one gcd pass.  A new stage prices against every
+row; a pivot prices against its pivot row alone.
 """
 
 from __future__ import annotations
@@ -200,16 +207,25 @@ class ExactSimplex:
 
         Each row's multiplier is the goal entry at its basic column, read
         before any elimination: no other row has an entry in that column.
+        Over the lcm L of the rows' denominators the multipliers are
+        f_r L / den_r; the lcm and every multiplier are divided by their
+        common gcd g, so the row is scaled by L/g.  For the one row a pivot
+        prices out, that is den_r / gcd(den_r, f).  The gcd pass then leaves
+        the same primitive row as scaling by L would.
         """
         goal = self._goal
         terms = [(r, f) for r in rs if (f := goal.get(self._basis[r]))]
         if not terms:
             return
-        scale = lcm(*(self._den[r] for r, _ in terms))
+        den = self._den
+        scale = lcm(*(den[r] for r, _ in terms))
+        terms = [(r, f * (scale // den[r])) for r, f in terms]
+        g = gcd(scale, *(f for _, f in terms))
+        scale //= g
         value = self._value * scale
-        d = scale  # the first subtraction scales the row by the lcm, once
+        d = scale  # the first subtraction scales the row, once
         for r, f in terms:
-            f *= scale // self._den[r]
+            f //= g
             _subtract(goal, d, f, self._rows[r].items())
             value += f * self._rhs[r]
             d = 1
@@ -254,8 +270,13 @@ class ExactSimplex:
         ``rs`` lists the rows that hold ``col``, from the one scan the ratio
         test shares; no other row changes, and the updates are independent.
         Row r takes its pivot numerator p as denominator (sign moved onto the
-        row), so its entry in ``col`` reads 1; every other row i in ``rs``
-        becomes (N_i p - N_i[col] N_r) / (D_i p).
+        row), so its entry in ``col`` reads 1; every other row i in ``rs``,
+        with f = N_i[col] and g = gcd(p, f), becomes
+        (N_i (p/g) - (f/g) N_r) / (D_i (p/g)): the row (N_i p - f N_r) / (D_i p)
+        with g cancelled before it is formed, so no row is scaled by more
+        than p/g, and not at all when p divides f.  ``_primitive`` then
+        cancels what is left, and the row reads entry for entry as it would
+        after the full scaling.
         """
         rows = self._rows
         rhs = self._rhs
@@ -275,8 +296,10 @@ class ExactSimplex:
             if i != r:
                 row = rows[i]
                 f = row[col]
-                _subtract(row, p, f, items)
-                rhs[i], den[i] = _primitive(row, rhs[i] * p - f * rr, den[i] * p)
+                g = gcd(p, f)
+                a, f = p // g, f // g
+                _subtract(row, a, f, items)
+                rhs[i], den[i] = _primitive(row, rhs[i] * a - f * rr, den[i] * a)
         self._basis[r] = col
         self._pivots += 1
         self._price_out((r,))

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -67,6 +69,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture(scope="module")
+def suite_run():
+    """One ``suite`` run, the slowest command, shared by the tests that read
+    it: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["suite"])
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestEvalUniform:
@@ -528,16 +540,16 @@ class TestDispatch:
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
 
-    def test_suite_runs_every_item(self, capsys):
-        code, out, _ = run(capsys, "suite")
+    def test_suite_runs_every_item(self, suite_run):
+        code, out, _ = suite_run
         assert code == 0
         assert "15 passed" in out
         lines = out.splitlines()
         ran = {int(line.split()[1]) for line in lines if line.startswith("ok")}
         assert ran == set(range(1, 16))
 
-    def test_suite_reports_time_against_budget_on_stderr(self, capsys):
-        code, out, err = run(capsys, "suite")
+    def test_suite_reports_time_against_budget_on_stderr(self, suite_run):
+        code, out, err = suite_run
         assert code == 0
         assert out.splitlines() == (
             ["# disclosure-games suite"]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from disclosure_games.acceptance import AUCTION_123
 from disclosure_games.core import (
     BuyerType,
     DiscreteInstance,
@@ -188,6 +189,22 @@ class TestConditioning:
         with pytest.raises(ValidationError, match=r"^buyer 2: message indices must be integers"):
             condition_on_messages(inst, [(0, 1), (0, bad)])
         assert condition_on_messages(inst, [(1,), (0, 1)]).masses == (Fraction(1, 2), Fraction(1))
+
+    @pytest.mark.parametrize(
+        "messages, error",
+        [
+            ([1, (0,)], r"^buyer 1: a message must be a sequence of type indices, got 1$"),
+            ([(0,), None], r"^buyer 2: a message must be a sequence of type indices, got None$"),
+            ([(0,), {0, 1}], r"^buyer 2: a message must be a sequence of type indices, got \{0, 1\}$"),
+            (None, r"^need one message per buyer \(2\), got None$"),
+            (7, r"^need one message per buyer \(2\), got 7$"),
+            ({0: (0,), 1: (1,)}, r"^need one message per buyer \(2\), got \{"),
+        ],
+        ids=["int-message", "none-message", "set-message", "none-list", "int-list", "dict-list"],
+    )
+    def test_rejects_messages_that_are_not_sequences(self, messages, error):
+        with pytest.raises(ValidationError, match=error):
+            condition_on_messages(AUCTION_123, messages)
 
 
 class TestPartitionDocuments:

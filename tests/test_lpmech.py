@@ -685,6 +685,79 @@ class TestPostedPriceShortcut:
                     assert utility == cond.masses[0] * sol.buyer_surplus
 
 
+def reference_posted_price(pairs) -> tuple:
+    """The Fraction pass ``best_posted_price`` replaced: every candidate's
+    (revenue, utility, price) in Fraction, and the largest."""
+    candidates = []
+    mass = weighted = F(0)
+    for value, weight in pairs:
+        mass += weight
+        weighted += weight * value
+        candidates.append((value * mass, weighted - value * mass, value))
+    return max(candidates)
+
+
+def posted_price_corpus(seed: int, count: int) -> list[list[tuple[Fraction, Fraction]]]:
+    """(value, weight) lists in decreasing value order, weights unnormalised.
+
+    Half the lists take values over 1, 2, 4 and weights over 3, 5, 9, so the
+    two lcms are coprime; the rest share denominators 2, 3, 6.  About a third
+    end in a value-0 type, and about a third weight their last positive type
+    so that its price ties the best earlier price for revenue.
+    """
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(count):
+        coprime = rng.random() < 0.5
+        vdens, wdens = ((1, 2, 4), (3, 5, 9)) if coprime else ((2, 3, 6), (2, 3, 6))
+        n = rng.randint(1, 7)
+        values = sorted({F(rng.randint(1, 30), rng.choice(vdens)) for _ in range(n)}, reverse=True)
+        weights = [F(rng.randint(1, 6), rng.choice(wdens)) for _ in values]
+        if len(values) > 1 and rng.random() < 0.35:
+            revenues = [v * sum(weights[: k + 1]) for k, v in enumerate(values[:-1])]
+            best = max(revenues)
+            tie = best / values[-1] - sum(weights[:-1])
+            if tie > 0:
+                weights[-1] = tie
+        if rng.random() < 0.35:
+            values.append(F(0))
+            weights.append(F(rng.randint(1, 6), rng.choice(wdens)))
+        corpus.append(list(zip(values, weights)))
+    return corpus
+
+
+class TestPostedPricePass:
+    """The int pass of ``best_posted_price`` returns the Fraction reference's
+    (revenue, utility, price), each a Fraction, on every case."""
+
+    CORPUS = posted_price_corpus(20261018, 400)
+
+    def test_corpus_covers_the_cases(self):
+        zero = coprime = tied = 0
+        for pairs in self.CORPUS:
+            zero += any(v == 0 for v, _ in pairs)
+            v_scale = math.lcm(*(v.denominator for v, _ in pairs))
+            w_scale = math.lcm(*(w.denominator for _, w in pairs))
+            coprime += v_scale > 1 and w_scale > 1 and math.gcd(v_scale, w_scale) == 1
+            mass = F(0)
+            revenues = []
+            for v, w in pairs:
+                mass += w
+                revenues.append(v * mass)
+            tied += max(revenues) > 0 and revenues.count(max(revenues)) > 1
+        assert zero > 50 and coprime > 100 and tied > 50
+
+    def test_matches_the_fraction_reference(self):
+        for pairs in self.CORPUS:
+            got = lpmech.best_posted_price(iter(pairs))
+            assert got == reference_posted_price(pairs), pairs
+            assert all(type(x) is Fraction for x in got)
+
+    def test_no_pairs_rejected(self):
+        with pytest.raises(ValidationError, match="at least one"):
+            lpmech.best_posted_price([])
+
+
 class TestRouting:
     """Only one buyer with one good skips the LP."""
 

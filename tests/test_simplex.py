@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -418,3 +419,62 @@ class TestPricingOracle:
             assert checked == [res.objective for res in results]
             stages_checked += len(results)
         assert stages_checked > 150
+
+
+def _check_primitive_rows(lp: ExactSimplex) -> list:
+    """Wrap ``lp._pivot`` so that the whole tableau is checked after every pivot.
+
+    Every row must be primitive: a positive denominator, numerators, right-hand
+    side and denominator with gcd 1, its basic column reading the denominator
+    (the entry 1) and no stored zero; the reduced-cost row likewise.  A rational
+    row has exactly one such form, which is why the row updates may scale by
+    p/g and f/g instead of p and f without changing any entry or pivot.
+    Returns the entering columns checked so far.
+    """
+    entered = []
+
+    def pivot(r, col, rs):
+        ExactSimplex._pivot(lp, r, col, rs)
+        for row, rhs, den, basic in zip(lp._rows, lp._rhs, lp._den, lp._basis):
+            assert den > 0
+            assert gcd(den, rhs, *row.values()) == 1
+            assert row[basic] == den
+            assert 0 not in row.values()
+        assert lp._goal_den > 0
+        assert gcd(lp._goal_den, lp._value, *lp._goal.values()) == 1
+        assert 0 not in lp._goal.values()
+        entered.append(col)
+
+    lp._pivot = pivot
+    return entered
+
+
+class TestPrimitiveRows:
+    """After every pivot each row is in its unique primitive form, on
+    mechanism LPs and on the x = 0 corpus."""
+
+    @pytest.mark.parametrize(
+        "inst",
+        [uniform_grid_instance(5), uniform_grid_instance(4, 3), AUCTION_123, MENU_FOUR_TYPES],
+        ids=["grid-5", "grid-4-three-buyers", "auction-123", "menu-four-types"],
+    )
+    def test_mechanism_lp_pivots(self, inst):
+        system = build_lp(inst)
+        entered = _check_primitive_rows(system.lp)
+        stages = system.lp.solve_lexicographic(
+            [system.revenue_objective, system.surplus_objective]
+        )
+        assert len(entered) == stages[-1].pivots > 0
+
+    def test_origin_corpus_slice(self):
+        rng = random.Random(1300)
+        pivots = 0
+        for _ in range(300):
+            lp, stages = _random_origin_lp(rng)
+            entered = _check_primitive_rows(lp)
+            try:
+                lp.solve_lexicographic(stages)
+            except LpUnbounded:
+                pass
+            pivots += len(entered)
+        assert pivots > 200
