@@ -38,6 +38,7 @@ from .lpmech import (
     uniform_grid_instance,
     verify_mechanism,
 )
+from .myerson import myerson_optimum
 from .uniform2 import (
     UniformSegment,
     efficiency_witness,
@@ -480,6 +481,16 @@ def _property_battery() -> list[str]:
     )
     if share < F(95, 100):
         raise AssertionError(f"winner agreement {format_rational(share)} below 95%")
+    oracle = myerson_optimum(grid)
+    _expect_true(
+        rows,
+        f"grid-20 revenue {format_rational(sol.revenue)} and surplus "
+        f"{format_rational(sol.buyer_surplus)} equal the Myerson oracle exactly",
+        not oracle.ironed
+        and (sol.revenue, sol.buyer_surplus)
+        == (oracle.revenue, oracle.buyer_surplus)
+        == (F(87, 200), F(237, 1600)),
+    )
     return rows
 
 

@@ -7,9 +7,12 @@ of types 1..i extends the best partition of some prefix 1..j by the block
 {j+1..i}.  Utilities are carried as unconditional probability mass, so
 block utilities add without renormalizing.
 
-Each call scores every connected block once; the DP and the brute force
-over all 2^(n-1) compositions read that table, but the brute force sums
-and breaks ties on its own, so it checks the recursion and its tie order.
+Each call scores every connected block once, as int numerators over one
+scale per instance, the lcm of the blocks' utility denominators.  The DP
+and the brute force over all 2^(n-1) compositions add and compare those
+ints and build a ``Fraction`` only for what they return; the brute force
+keeps its own int sum and first-composition tie rule, so it checks the
+recursion and its tie order.
 A message's posted price comes from ``lpmech.best_posted_price``, the
 routine ``lpmech.solve_instance`` uses for one buyer with one good.
 Tests check ``buyer_utility`` against every candidate price, and check
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .core import (
@@ -86,6 +90,10 @@ def buyer_utility(inst: SingleBuyerInstance, msg: Sequence[int]) -> tuple[Fracti
     unconditional mass (scaled by the message's prior probability), so
     utilities of disjoint messages add.
     """
+    for i in msg:
+        # bool is an int subclass, but True is not a type index
+        if type(i) is not int:
+            raise ValidationError(f"message indices must be integers, got {i!r}")
     idx = sorted(set(msg))
     if not idx:
         raise ValidationError("empty message")
@@ -97,16 +105,25 @@ def buyer_utility(inst: SingleBuyerInstance, msg: Sequence[int]) -> tuple[Fracti
     return utility, price
 
 
-def _block_utilities(inst: SingleBuyerInstance) -> dict[tuple[int, ...], Fraction]:
-    """Utility mass of every connected block {j..i-1}, keyed by the block."""
-    blocks = (tuple(range(j, i)) for i in range(1, inst.n + 1) for j in range(i))
-    return {block: buyer_utility(inst, block)[0] for block in blocks}
+def _block_utilities(inst: SingleBuyerInstance) -> tuple[dict[tuple[int, ...], int], int]:
+    """Utility mass of every connected block {j..i-1}, keyed by the block.
+
+    Returns int numerators over one positive scale, the lcm of the
+    utilities' denominators, so sums of blocks add and compare as ints.
+    """
+    blocks = [tuple(range(j, i)) for i in range(1, inst.n + 1) for j in range(i)]
+    utilities = [buyer_utility(inst, block)[0] for block in blocks]
+    scale = lcm(*(u.denominator for u in utilities))
+    scores = {
+        block: u.numerator * (scale // u.denominator) for block, u in zip(blocks, utilities)
+    }
+    return scores, scale
 
 
 def dp_table(inst: SingleBuyerInstance) -> tuple[tuple[Fraction, SetPartition], ...]:
     """Prefix table: entry i is the best (utility, partition) for types 1..i."""
-    scores = _block_utilities(inst)
-    entries: list[tuple[Fraction, SetPartition]] = [(Fraction(0), ())]
+    scores, scale = _block_utilities(inst)
+    entries: list[tuple[int, SetPartition]] = [(0, ())]
     for i in range(1, inst.n + 1):
         best = None
         for j in range(i):
@@ -115,7 +132,7 @@ def dp_table(inst: SingleBuyerInstance) -> tuple[tuple[Fraction, SetPartition], 
             if best is None or utility > best[0]:
                 best = (utility, entries[j][1] + (block,))
         entries.append(best)
-    return tuple(entries)
+    return tuple((Fraction(utility, scale), partition) for utility, partition in entries)
 
 
 def optimal_connected(inst: SingleBuyerInstance) -> tuple[SetPartition, Fraction]:
@@ -126,17 +143,23 @@ def optimal_connected(inst: SingleBuyerInstance) -> tuple[SetPartition, Fraction
 def brute_force_connected(
     inst: SingleBuyerInstance, guard: int = BRUTE_FORCE_GUARD
 ) -> tuple[SetPartition, Fraction]:
-    """Try every composition of the n types into consecutive blocks."""
+    """Try every composition of the n types into consecutive blocks.
+
+    Sums each composition's int block scores itself; the first composition
+    with the largest sum wins.
+    """
+    if type(guard) is not int:
+        raise ValidationError(f"guard must be an integer, got {guard!r}")
     n = inst.n
     if n > guard:
         raise GuardExceeded(f"{2 ** (n - 1)} compositions of {n} types is over the guard")
-    scores = _block_utilities(inst)
+    scores, scale = _block_utilities(inst)
     best = None
     for blocks in compositions(n):
-        total = sum((scores[b] for b in blocks), Fraction(0))
+        total = sum(map(scores.__getitem__, blocks))
         if best is None or total > best[1]:
             best = (blocks, total)
-    return best
+    return best[0], Fraction(best[1], scale)
 
 
 def inapproximability_instance(delta) -> SingleBuyerInstance:

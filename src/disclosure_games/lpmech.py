@@ -24,6 +24,13 @@ Design"); a buyer's types have distinct values, so the LP keeps only
 those rows: the same feasible set, hence the same optima, from a smaller
 LP.  Several goods keep every pair.  ``verify_mechanism`` checks every
 supply, IR and IC row regardless.
+
+The LP's rows reach the simplex as primitive int numerators: ``LpSystem``
+takes each buyer's probabilities over their lcm and every value over one
+lcm, builds each row as ints over one positive denominator, and the
+simplex stores it divided by the gcd, with no ``Fraction`` per
+coefficient.  The objectives, the mechanism and its aggregates stay
+rational.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -141,6 +148,15 @@ class LpSystem:
     good they cover only pairs adjacent in value order, both ways (Myerson
     1981).  ``counts`` holds the rows built per kind, so callers can
     sanity-check the build against hand counts.
+
+    Rows are built from one int form of the instance: buyer j's
+    probabilities as numerators over their lcm P_j, so a joint type's
+    weight is an int over the product of the P_j, and every value as a
+    numerator over one lcm V.  Each row goes to the simplex as int
+    numerators over one positive denominator in <= form, a >= row negated,
+    and is stored divided by its gcd: the rational row's one primitive
+    form, the same entries, key order and pivots as rows built in
+    ``Fraction``.
     """
 
     def __init__(self, inst: DiscreteInstance, variable_budget: int = DEFAULT_VARIABLE_BUDGET):
@@ -172,10 +188,28 @@ class LpSystem:
         inst = self.instance
         m, ell = self._m, self._ell
         nt = len(self.joint_types)
+        lp = self.lp
+        # one int form of the instance: buyer j's probabilities as numerators
+        # over their lcm, so a joint type's weight is weights[t] over
+        # w_scale; every value as a numerator over one lcm, v_scale
+        v_scale = lcm(*(v.denominator for prior in inst.buyers for t in prior for v in t.values))
+        nums = tuple(
+            tuple(tuple(v.numerator * (v_scale // v.denominator) for v in t.values) for t in prior)
+            for prior in inst.buyers
+        )
+        w_scale = 1
+        prob_nums = []
+        for prior in inst.buyers:
+            scale = lcm(*(t.prob.denominator for t in prior))
+            w_scale *= scale
+            prob_nums.append(tuple(t.prob.numerator * (scale // t.prob.denominator) for t in prior))
+        weights = [prod(prob_nums[j][i] for j, i in enumerate(jt)) for jt in self.joint_types]
+        # rows go in as int numerators over one positive denominator, in
+        # <= form (a >= row negated); the simplex stores them primitive
         # supply: each good goes to at most one buyer
         for t in range(nt):
             for k in range(m):
-                self.lp.add_le({self.q_index(t, j, k): 1 for j in range(ell)}, 1)
+                lp._add_row({self.q_index(t, j, k): 1 for j in range(ell)}, 1, 1)
         # ex-post IR: no type ever pays more than the value it receives; the
         # same pass over (joint type, buyer) prices revenue and surplus
         revenue: dict[int, Fraction] = {}
@@ -184,9 +218,9 @@ class LpSystem:
             for j in range(ell):
                 values = inst.buyers[j][jt[j]].values
                 r = self.r_index(t, j)
-                row = {self.q_index(t, j, k): v for k, v in enumerate(values)}
-                row[r] = Fraction(-1)
-                self.lp.add_ge(row, 0)
+                row = {self.q_index(t, j, k): -v for k, v in enumerate(nums[j][jt[j]]) if v}
+                row[r] = v_scale
+                lp._add_row(row, 0, v_scale)
                 revenue[r] = w
                 surplus[r] = -w
                 for k, v in enumerate(values):
@@ -198,6 +232,7 @@ class LpSystem:
         # zip pairs each truthful profile with the one where j reports i2.
         # One good: adjacent pairs in value order only (a buyer's values are
         # distinct, so the order is strict).
+        den = w_scale * v_scale
         n_ic = 0
         for j in range(ell):
             prior = inst.buyers[j]
@@ -208,19 +243,20 @@ class LpSystem:
             for t, jt in enumerate(self.joint_types):
                 slots[jt[j]].append(t)
             for i in range(nj):
-                values = prior[i].values
+                values = nums[j][i]
                 for i2 in range(nj):
                     if i2 == i or (m == 1 and abs(rank[i] - rank[i2]) != 1):
                         continue
                     row = {}
                     for t, d in zip(slots[i], slots[i2]):
-                        w = self._probs[t]
+                        w = weights[t]
                         for k, v in enumerate(values):
-                            row[self.q_index(t, j, k)] = w * v
-                            row[self.q_index(d, j, k)] = -w * v
-                        row[self.r_index(t, j)] = -w
-                        row[self.r_index(d, j)] = w
-                    self.lp.add_ge(row, 0)
+                            if v:
+                                row[self.q_index(t, j, k)] = -w * v
+                                row[self.q_index(d, j, k)] = w * v
+                        row[self.r_index(t, j)] = w * v_scale
+                        row[self.r_index(d, j)] = -w * v_scale
+                    lp._add_row(row, 0, den)
                     n_ic += 1
         self.counts = {"supply": nt * m, "ir": nt * ell, "ic": n_ic}
 

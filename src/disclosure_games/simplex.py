@@ -26,6 +26,13 @@ whatever common factor the update left.  So every pivot choice is the
 same.  Fractions appear only at the boundary: the coefficients taken in
 and the optima and values handed back.
 
+Rows arrive as primitive int numerators.  Every constraint is stored in
+<= form as int numerators and right-hand side over one positive int
+denominator, divided by their gcd, from the moment it is added:
+``add_le`` and ``add_ge`` convert their rational coefficients once, and
+the mechanism LP builds its rows as ints and stores them directly.  The
+tableau build only copies each row and appends its slack entry.
+
 Lexicographic solves reuse one tableau: after each stage the nonbasic
 columns with strictly negative reduced cost are frozen at zero, which
 pins the stage objective to its optimum exactly (the reduced-cost
@@ -112,9 +119,13 @@ class ExactSimplex:
             raise ValidationError(f"pivot_cap must be an integer >= 0, got {pivot_cap!r}")
         self.n_vars = n_vars
         self.pivot_cap = pivot_cap
-        self._constraints: list[tuple[dict, str, object]] = []
+        # every row as (numerators, rhs, den) over ints in <= form, primitive
+        self._constraints: list[tuple[dict, int, int]] = []
 
     def _coeffs(self, coeffs) -> dict:
+        if isinstance(coeffs, (str, bytes)):
+            # a string is a sequence, but '12' is not the coefficients (1, 2)
+            raise ValidationError(f"coefficients must be a mapping or a sequence, got {coeffs!r}")
         if isinstance(coeffs, Mapping):
             items = coeffs.items()
         else:
@@ -135,14 +146,27 @@ class ExactSimplex:
         row, rhs = self._coeffs(coeffs), parse_rational(rhs)
         if rhs < 0:
             raise ValidationError(f"<= row needs a nonnegative right-hand side, got {rhs}")
-        self._constraints.append((row, "<=", rhs))
+        self._add_row(*_integer_row(row, rhs))
 
     def add_ge(self, coeffs, rhs):
         """Add coeffs . x >= rhs; rhs must be nonpositive, so that x = 0 meets it."""
         row, rhs = self._coeffs(coeffs), parse_rational(rhs)
         if rhs > 0:
             raise ValidationError(f">= row needs a nonpositive right-hand side, got {rhs}")
-        self._constraints.append((row, ">=", rhs))
+        row, rhs, den = _integer_row(row, rhs)
+        self._add_row({j: -v for j, v in row.items()}, -rhs, den)
+
+    def _add_row(self, row: dict, rhs: int, den: int) -> None:
+        """Store the row (row . x) / den <= rhs / den in its primitive form.
+
+        ``row`` maps valid variable indices to nonzero int numerators and is
+        kept, not copied; ``den`` is a positive int and ``rhs`` a
+        nonnegative one.  ``add_le`` and ``add_ge`` check their input and
+        come here; ``lpmech.LpSystem`` builds its rows as ints from a
+        validated instance and comes here directly.
+        """
+        rhs, den = _primitive(row, rhs, den)
+        self._constraints.append((row, rhs, den))
 
     @property
     def n_constraints(self) -> int:
@@ -153,20 +177,13 @@ class ExactSimplex:
     def _build(self):
         """Assemble the all-slack tableau: row i's slack, column n_vars + i, is basic."""
         rows: list[dict] = []
-        rhs: list[int] = []
-        den: list[int] = []
-        for i, (coeffs, sense, b) in enumerate(self._constraints):
-            row, b, d = _integer_row(coeffs, b)
-            if sense == ">=":
-                row = {j: -v for j, v in row.items()}
-                b = -b
+        for i, (row, _, d) in enumerate(self._constraints):
+            row = dict(row)  # pivots update the tableau in place; the store stays
             row[self.n_vars + i] = d
             rows.append(row)
-            rhs.append(b)
-            den.append(d)
         self._rows = rows
-        self._rhs = rhs
-        self._den = den
+        self._rhs = [b for _, b, _ in self._constraints]
+        self._den = [d for _, _, d in self._constraints]
         self._basis = list(range(self.n_vars, self.n_vars + len(rows)))
         self._pivots = 0
         self._forbidden: set[int] = set()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from disclosure_games.core import GuardExceeded, ValidationError
+from disclosure_games.core import GuardExceeded, ValidationError, compositions
 from disclosure_games.dpconnected import (
     SingleBuyerInstance,
     brute_force_connected,
@@ -99,6 +99,12 @@ class TestBuyerUtility:
         with pytest.raises(ValidationError):
             buyer_utility(GAP_HALF, [0, 0, 2])
 
+    @pytest.mark.parametrize("msg", [[True], [False, 1], [1.0], ["0"], [0, None]])
+    def test_non_int_index_rejected(self, msg):
+        # bool is an int subclass, but True is not type 2
+        with pytest.raises(ValidationError, match="message indices must be integers"):
+            buyer_utility(GAP_HALF, msg)
+
     def test_lowest_price_bounds_utility(self):
         rng = random.Random(321)
         for _ in range(50):
@@ -174,6 +180,11 @@ class TestBruteForceOracle:
         with pytest.raises(GuardExceeded):
             brute_force_connected(inst, guard=inst.n - 1)
 
+    @pytest.mark.parametrize("guard", [True, False, 20.0, "20", None])
+    def test_guard_must_be_an_int(self, guard):
+        with pytest.raises(ValidationError, match="guard must be an integer"):
+            brute_force_connected(GAP_HALF, guard=guard)
+
     def test_matches_dp_on_random_instances(self):
         rng = random.Random(20240601)
         for _ in range(200):
@@ -201,3 +212,59 @@ class TestAgainstUnconstrainedSearch:
             best_lp = results[0][1].total_surplus
             _, dp_value = optimal_connected(inst)
             assert best_lp == dp_value
+
+
+def fraction_search(inst: SingleBuyerInstance):
+    """The DP table, the brute force and the block utilities, in Fraction.
+
+    The reference the int searches must match entry for entry: the same
+    recursion and tie rules, with every sum and comparison in Fraction.
+    """
+    n = inst.n
+    scores = {
+        tuple(range(j, i)): buyer_utility(inst, tuple(range(j, i)))[0]
+        for i in range(1, n + 1)
+        for j in range(i)
+    }
+    table = [(F(0), ())]
+    for i in range(1, n + 1):
+        best = None
+        for j in range(i):
+            block = tuple(range(j, i))
+            utility = table[j][0] + scores[block]
+            if best is None or utility > best[0]:
+                best = (utility, table[j][1] + (block,))
+        table.append(best)
+    brute = None
+    for blocks in compositions(n):
+        total = sum((scores[b] for b in blocks), F(0))
+        if brute is None or total > brute[1]:
+            brute = (blocks, total)
+    return tuple(table), brute, scores
+
+
+class TestIntegerSearch:
+    """The int DP and brute force return what the Fraction searches return:
+    the same utilities and, among tied partitions, the same blocks."""
+
+    def test_matches_the_fraction_searches(self):
+        rng = random.Random(1809)
+        # equal probabilities on equally spaced values tie many compositions
+        ties = [
+            SingleBuyerInstance(tuple(F(step * (k + 1)) for k in range(n)), (F(1, n),) * n)
+            for n in range(1, 10)
+            for step in (1, 2, F(1, 3))
+        ]
+        randoms = [rand_single_buyer(rng, max_n=10) for _ in range(40)]
+        tied = 0
+        for inst in ties + randoms:
+            table, brute, scores = fraction_search(inst)
+            assert dp_table(inst) == table
+            assert brute_force_connected(inst) == brute
+            blocks, best = brute
+            optima = [
+                c for c in compositions(inst.n) if sum((scores[b] for b in c), F(0)) == best
+            ]
+            assert optima[0] == blocks
+            tied += len(optima) > 1
+        assert tied >= 10

@@ -29,6 +29,7 @@ from disclosure_games.lpmech import (
     uniform_grid_instance,
     verify_mechanism,
 )
+from disclosure_games.simplex import ExactSimplex
 from disclosure_games.uniform2 import myerson_outcome, segment
 
 F = Fraction
@@ -227,6 +228,99 @@ class TestPivotSequence:
 
     def test_grid_five_rows(self):
         assert build_lp(uniform_grid_instance(5)).lp.n_constraints == 91
+
+
+def fraction_rows_lp(system) -> ExactSimplex:
+    """The mechanism LP's rows built in Fraction and fed through add_le/add_ge.
+
+    The reference for ``LpSystem``'s int build: the same supply, IR and IC
+    rows, in the same order and key order, as rationals.
+    """
+    inst = system.instance
+    jts = system.joint_types
+    m, ell = inst.goods, inst.n_buyers
+    q, r = system.q_index, system.r_index
+    probs = [joint_prob(inst, jt) for jt in jts]
+    lp = ExactSimplex(system.lp.n_vars)
+    for t in range(len(jts)):
+        for k in range(m):
+            lp.add_le({q(t, j, k): 1 for j in range(ell)}, 1)
+    for t, jt in enumerate(jts):
+        for j in range(ell):
+            row = {q(t, j, k): v for k, v in enumerate(inst.buyers[j][jt[j]].values)}
+            row[r(t, j)] = F(-1)
+            lp.add_ge(row, 0)
+    for j in range(ell):
+        prior = inst.buyers[j]
+        nj = len(prior)
+        order = sorted(range(nj), key=lambda i: prior[i].values)
+        rank = {i: pos for pos, i in enumerate(order)}
+        slots = [[t for t, jt in enumerate(jts) if jt[j] == i] for i in range(nj)]
+        for i in range(nj):
+            for i2 in range(nj):
+                if i2 == i or (m == 1 and abs(rank[i] - rank[i2]) != 1):
+                    continue
+                row = {}
+                for t, d in zip(slots[i], slots[i2]):
+                    w = probs[t]
+                    for k, v in enumerate(prior[i].values):
+                        row[q(t, j, k)] = w * v
+                        row[q(d, j, k)] = -w * v
+                    row[r(t, j)] = -w
+                    row[r(d, j)] = w
+                lp.add_ge(row, 0)
+    return lp
+
+
+def coprime_instance(rng: random.Random) -> DiscreteInstance:
+    """1-3 buyers, 1-2 goods, 1-4 types; values include 0, and probabilities
+    are differences of cut points over coprime denominators."""
+    goods = rng.randint(1, 2)
+    buyers = []
+    for _ in range(rng.randint(1, 3)):
+        n = rng.randint(1, 4)
+        cuts = set()
+        while len(cuts) < n - 1:
+            d = rng.choice((2, 3, 5, 7, 11, 13))
+            cuts.add(F(rng.randint(1, d - 1), d))
+        points = [F(0), *sorted(cuts), F(1)]
+        vectors = set()
+        while len(vectors) < n:
+            vectors.add(
+                tuple(F(rng.randint(0, 9), rng.choice((1, 2, 3, 5))) for _ in range(goods))
+            )
+        buyers.append(
+            tuple(
+                BuyerType(b - a, values)
+                for a, b, values in zip(points, points[1:], sorted(vectors))
+            )
+        )
+    return DiscreteInstance(goods, tuple(buyers))
+
+
+class TestIntegerRows:
+    """``LpSystem`` builds its rows as ints; after ``_build`` the tableau must
+    equal the one the Fraction rows give through add_le/add_ge, entry for
+    entry and in key order, so every pivot is the same."""
+
+    NAMED = [uniform_grid_instance(5), uniform_grid_instance(4, 3), AUCTION_123, MENU_FOUR_TYPES]
+
+    def test_same_tableau(self):
+        rng = random.Random(1806)
+        corpus = self.NAMED + [coprime_instance(rng) for _ in range(80)]
+        zeros = 0
+        for inst in corpus:
+            system = build_lp(inst)
+            reference = fraction_rows_lp(system)
+            system.lp._build()
+            reference._build()
+            assert [list(row.items()) for row in system.lp._rows] == [
+                list(row.items()) for row in reference._rows
+            ]
+            assert system.lp._rhs == reference._rhs
+            assert system.lp._den == reference._den
+            zeros += any(v == 0 for prior in inst.buyers for t in prior for v in t.values)
+        assert zeros > 20
 
 
 class TestSingleBuyerMenus:
@@ -887,10 +981,10 @@ class TestAgainstScipy:
             system = build_lp(inst)
             n = system.lp.n_vars
             a_ub, b_ub = [], []
-            for coeffs, sense, rhs in system.lp._constraints:
-                sign = {"<=": 1, ">=": -1}[sense]
-                a_ub.append([sign * float(coeffs.get(j, 0)) for j in range(n)])
-                b_ub.append(sign * float(rhs))
+            # rows are stored in <= form as int numerators over a denominator
+            for row, rhs, den in system.lp._constraints:
+                a_ub.append([float(F(row.get(j, 0), den)) for j in range(n)])
+                b_ub.append(float(F(rhs, den)))
             c = [-float(system.revenue_objective.get(j, 0)) for j in range(n)]
             ref = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs")
             assert ref.status == 0

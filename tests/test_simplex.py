@@ -67,6 +67,21 @@ class TestBasicSolves:
             lp.solve({index: 1})
         assert lp.n_constraints == 1
 
+    @pytest.mark.parametrize("coeffs", ["12", b"12", ""])
+    def test_string_coefficients_rejected(self, coeffs):
+        # a str or bytes is a sequence, but not of coefficients
+        lp = ExactSimplex(2)
+        with pytest.raises(ValidationError, match="coefficients must be a mapping or a sequence"):
+            lp.add_le(coeffs, 1)
+        with pytest.raises(ValidationError, match="coefficients must be a mapping or a sequence"):
+            lp.add_ge(coeffs, 0)
+        assert lp.n_constraints == 0
+        lp.add_le({0: 1, 1: 1}, 1)
+        with pytest.raises(ValidationError, match="coefficients must be a mapping or a sequence"):
+            lp.solve(coeffs)
+        with pytest.raises(ValidationError, match="coefficients must be a mapping or a sequence"):
+            lp.solve_lexicographic([{0: 1}, coeffs])
+
     @pytest.mark.parametrize("n_vars", [True, 2.0, 0, -1, "2", None])
     def test_n_vars_must_be_a_positive_int(self, n_vars):
         with pytest.raises(ValidationError, match="n_vars must be an integer >= 1"):
