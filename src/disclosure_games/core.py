@@ -73,9 +73,9 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def approx(q: Fraction, digits: int = 6) -> str:
-    """Display helper: exact fraction annotated with a decimal approximation."""
-    return f"{format_rational(q)} (~{float(q):.{digits}g})"
+def approx(q: Fraction) -> str:
+    """Display helper: exact fraction annotated with a six-digit decimal approximation."""
+    return f"{format_rational(q)} (~{float(q):.6g})"
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +263,7 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
-def enumerate_set_partitions(n: int, guard: int = SET_PARTITION_GUARD) -> Iterator[SetPartition]:
+def enumerate_set_partitions(n: int) -> Iterator[SetPartition]:
     """Yield every set partition of {0..n-1} in canonical order.
 
     Canonical order: partitions generated by assigning each element either
@@ -273,8 +273,10 @@ def enumerate_set_partitions(n: int, guard: int = SET_PARTITION_GUARD) -> Iterat
     has one partition, the empty one.
     """
     _require_size(n)
-    if n > guard:
-        raise GuardExceeded(f"refusing to enumerate set partitions of {n} > {guard} elements")
+    if n > SET_PARTITION_GUARD:
+        raise GuardExceeded(
+            f"refusing to enumerate set partitions of {n} > {SET_PARTITION_GUARD} elements"
+        )
     if n == 0:
         yield ()
         return
@@ -358,29 +360,44 @@ class ConditionedInstance:
     masses: tuple[Fraction, ...]
 
 
+def is_sequence(x) -> bool:
+    """``isinstance(x, abc.Sequence)``, sparing a tuple or list the slow ABC check."""
+    return type(x) is tuple or type(x) is list or isinstance(x, abc.Sequence)
+
+
+def message_indices(msg: Sequence[int], n: int) -> tuple[int, ...]:
+    """The sorted type indices of a message over n types, or ``ValidationError``.
+
+    A message is a sequence of distinct int indices in 0..n-1, not empty.
+    """
+    if not is_sequence(msg):
+        raise ValidationError(f"a message must be a sequence of type indices, got {msg!r}")
+    for i in msg:
+        # bool is an int subclass, but True is not a type index
+        if type(i) is not int:
+            raise ValidationError(f"message indices must be integers, got {i!r}")
+    idx = tuple(sorted(set(msg)))
+    if not idx:
+        raise ValidationError("empty message")
+    if len(idx) != len(msg):
+        raise ValidationError("message repeats a type index")
+    if idx[0] < 0 or idx[-1] >= n:
+        raise ValidationError("message index out of range")
+    return idx
+
+
 def condition_on_messages(inst: DiscreteInstance, messages: Sequence[Sequence[int]]) -> ConditionedInstance:
     """Restrict each buyer to a message (subset of type indices) and renormalize."""
-    if not isinstance(messages, abc.Sequence) or len(messages) != inst.n_buyers:
+    if not is_sequence(messages) or len(messages) != inst.n_buyers:
         raise ValidationError(f"need one message per buyer ({inst.n_buyers}), got {messages!r}")
     buyers = []
     masses = []
     for j, msg in enumerate(messages):
-        if not isinstance(msg, abc.Sequence):
-            raise ValidationError(
-                f"buyer {j + 1}: a message must be a sequence of type indices, got {msg!r}"
-            )
-        for i in msg:
-            # bool is an int subclass, but True is not a type index
-            if type(i) is not int:
-                raise ValidationError(f"buyer {j + 1}: message indices must be integers, got {i!r}")
-        idx = tuple(sorted(set(msg)))
-        if not idx:
-            raise ValidationError(f"buyer {j + 1}: empty message")
-        if len(idx) != len(msg):
-            raise ValidationError(f"buyer {j + 1}: message repeats a type index")
         prior = inst.buyers[j]
-        if idx[0] < 0 or idx[-1] >= len(prior):
-            raise ValidationError(f"buyer {j + 1}: message index out of range")
+        try:
+            idx = message_indices(msg, len(prior))
+        except ValidationError as exc:
+            raise ValidationError(f"buyer {j + 1}: {exc}") from None
         mass = sum((prior[i].prob for i in idx), Fraction(0))
         buyers.append(tuple(BuyerType(prior[i].prob / mass, prior[i].values) for i in idx))
         masses.append(mass)

@@ -34,6 +34,7 @@ from .core import (
     SetPartition,
     ValidationError,
     compositions,
+    message_indices,
     parse_rational,
 )
 from .lpmech import best_posted_price
@@ -90,17 +91,7 @@ def buyer_utility(inst: SingleBuyerInstance, msg: Sequence[int]) -> tuple[Fracti
     unconditional mass (scaled by the message's prior probability), so
     utilities of disjoint messages add.
     """
-    for i in msg:
-        # bool is an int subclass, but True is not a type index
-        if type(i) is not int:
-            raise ValidationError(f"message indices must be integers, got {i!r}")
-    idx = sorted(set(msg))
-    if not idx:
-        raise ValidationError("empty message")
-    if len(idx) != len(msg):
-        raise ValidationError("message repeats a type index")
-    if idx[0] < 0 or idx[-1] >= inst.n:
-        raise ValidationError("message index out of range")
+    idx = message_indices(msg, inst.n)
     _, utility, price = best_posted_price((inst.values[i], inst.probs[i]) for i in reversed(idx))
     return utility, price
 
@@ -140,18 +131,14 @@ def optimal_connected(inst: SingleBuyerInstance) -> tuple[SetPartition, Fraction
     return partition, utility
 
 
-def brute_force_connected(
-    inst: SingleBuyerInstance, guard: int = BRUTE_FORCE_GUARD
-) -> tuple[SetPartition, Fraction]:
+def brute_force_connected(inst: SingleBuyerInstance) -> tuple[SetPartition, Fraction]:
     """Try every composition of the n types into consecutive blocks.
 
     Sums each composition's int block scores itself; the first composition
     with the largest sum wins.
     """
-    if type(guard) is not int:
-        raise ValidationError(f"guard must be an integer, got {guard!r}")
     n = inst.n
-    if n > guard:
+    if n > BRUTE_FORCE_GUARD:
         raise GuardExceeded(f"{2 ** (n - 1)} compositions of {n} types is over the guard")
     scores, scale = _block_utilities(inst)
     best = None

@@ -42,6 +42,7 @@ from .core import (
     condition_on_messages,
     enumerate_set_partitions,
     format_rational,
+    is_sequence,
     validate_partition,
 )
 from .lpmech import LPSolution, best_posted_price, joint_types, solve_instance
@@ -154,10 +155,13 @@ class GameEvaluator:
 
     def evaluate(self, profile: Sequence[Sequence[Sequence[int]]]) -> GameOutcome:
         inst = self.instance
-        if len(profile) != inst.n_buyers:
-            raise ValidationError(
-                f"need one partition per buyer ({inst.n_buyers}), got {len(profile)}"
-            )
+        if not is_sequence(profile) or len(profile) != inst.n_buyers:
+            raise ValidationError(f"need one partition per buyer ({inst.n_buyers}), got {profile!r}")
+        for j, part in enumerate(profile, 1):
+            if not is_sequence(part) or not all(map(is_sequence, part)):
+                raise ValidationError(
+                    f"buyer {j}: a partition must be a sequence of messages, got {part!r}"
+                )
         profile = tuple(
             validate_partition(part, inst.n_types(j)) for j, part in enumerate(profile)
         )
@@ -214,23 +218,21 @@ def connected_partitions(inst: DiscreteInstance, j: int) -> list[SetPartition]:
 
 
 def search_profiles(
-    inst: DiscreteInstance,
-    connected_only: bool = False,
-    guard: int = SEARCH_GUARD,
+    inst: DiscreteInstance, connected_only: bool = False
 ) -> list[tuple[tuple[SetPartition, ...], GameOutcome]]:
     """Evaluate every partition profile, best buyer surplus first.
 
     Exact-rational surplus ties are broken toward the canonically smaller
     profile, so rankings are reproducible.  The profile count, a product of
     Bell numbers (2^(n-1) per buyer when ``connected_only``), is checked
-    against ``guard`` before any partition is listed.
+    against ``SEARCH_GUARD`` before any partition is listed.
     """
     count = 1
     for j in range(inst.n_buyers):
         n = inst.n_types(j)
         count *= 2 ** (n - 1) if connected_only else bell_number(n)
-    if count > guard:
-        raise GuardExceeded(f"profile search would evaluate {count} > {guard} profiles")
+    if count > SEARCH_GUARD:
+        raise GuardExceeded(f"profile search would evaluate {count} > {SEARCH_GUARD} profiles")
     per_buyer = [
         connected_partitions(inst, j) if connected_only else enumerate_set_partitions(inst.n_types(j))
         for j in range(inst.n_buyers)

@@ -74,13 +74,11 @@ def reduce_to_buyer_opt(pp: PartitionProblem) -> BuyerOptInstance:
     return BuyerOptInstance(inst, Fraction(s, 6) - Fraction(1, 12))
 
 
-def solve_partition_bruteforce(
-    pp: PartitionProblem, guard: int = SUBSET_GUARD
-) -> Optional[tuple[int, ...]]:
+def solve_partition_bruteforce(pp: PartitionProblem) -> Optional[tuple[int, ...]]:
     """First subset (by bitmask order) summing to half the total, or None."""
     m = len(pp.sizes)
-    if m > guard:
-        raise GuardExceeded(f"2^{m} subsets is over the guard of 2^{guard}")
+    if m > SUBSET_GUARD:
+        raise GuardExceeded(f"2^{m} subsets is over the guard of 2^{SUBSET_GUARD}")
     half = pp.total // 2
     for mask in range(1, 2**m):
         picked = [i for i in range(m) if mask >> i & 1]

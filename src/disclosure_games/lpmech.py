@@ -16,7 +16,7 @@ value down.  The revenue-optimal face is the mixtures of revenue-maximal
 prices, and the surplus stage picks the lowest of them, so a revenue tie
 goes to the lower price; every type valued at least the price buys at
 it, and when every value is 0 (revenue 0) nothing is sold, as in the LP's
-solution.  ``variable_budget`` guards only the LP path.
+solution.  Only the LP path is checked against ``VARIABLE_BUDGET``.
 
 With one good, IC between types adjacent in value order, in both
 directions, implies IC between every pair (Myerson 1981, "Optimal Auction
@@ -29,8 +29,8 @@ The LP's rows reach the simplex as primitive int numerators: ``LpSystem``
 takes each buyer's probabilities over their lcm and every value over one
 lcm, builds each row as ints over one positive denominator, and the
 simplex stores it divided by the gcd, with no ``Fraction`` per
-coefficient.  The objectives, the mechanism and its aggregates stay
-rational.
+coefficient.  The objectives take each joint type's weight from the same
+ints; they, the mechanism and its aggregates stay rational.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .core import (
 )
 from .simplex import ExactSimplex
 
-DEFAULT_VARIABLE_BUDGET = 50_000
+VARIABLE_BUDGET = 50_000
 
 
 def joint_types(inst: DiscreteInstance) -> tuple[tuple[int, ...], ...]:
@@ -159,23 +159,22 @@ class LpSystem:
     ``Fraction``.
     """
 
-    def __init__(self, inst: DiscreteInstance, variable_budget: int = DEFAULT_VARIABLE_BUDGET):
+    def __init__(self, inst: DiscreteInstance):
         self.instance = inst
         self.joint_types = joint_types(inst)
         nt = len(self.joint_types)
         ell = inst.n_buyers
         m = inst.goods
         n_vars = nt * (ell * m + ell)
-        if n_vars > variable_budget:
+        if n_vars > VARIABLE_BUDGET:
             raise GuardExceeded(
-                f"instance needs {n_vars} LP variables, over the budget of {variable_budget}"
+                f"instance needs {n_vars} LP variables, over the budget of {VARIABLE_BUDGET}"
             )
         self._m = m
         self._ell = ell
         self.n_q_vars = nt * ell * m
         self.n_r_vars = nt * ell
         self.lp = ExactSimplex(n_vars)
-        self._probs = tuple(joint_prob(inst, jt) for jt in self.joint_types)
         self._build_rows()
 
     def q_index(self, t: int, j: int, k: int) -> int:
@@ -214,7 +213,8 @@ class LpSystem:
         # same pass over (joint type, buyer) prices revenue and surplus
         revenue: dict[int, Fraction] = {}
         surplus: dict[int, Fraction] = {}
-        for t, (jt, w) in enumerate(zip(self.joint_types, self._probs)):
+        for t, (jt, wt) in enumerate(zip(self.joint_types, weights)):
+            w = Fraction(wt, w_scale)
             for j in range(ell):
                 values = inst.buyers[j][jt[j]].values
                 r = self.r_index(t, j)
@@ -275,8 +275,8 @@ class LpSystem:
         return Mechanism(self.instance, q, r)
 
 
-def build_lp(inst: DiscreteInstance, variable_budget: int = DEFAULT_VARIABLE_BUDGET) -> LpSystem:
-    return LpSystem(inst, variable_budget)
+def build_lp(inst: DiscreteInstance) -> LpSystem:
+    return LpSystem(inst)
 
 
 def uniform_grid_instance(n: int, buyers: int = 2) -> DiscreteInstance:
@@ -329,15 +329,14 @@ def best_posted_price(
     return Fraction(revenue, scale), Fraction(utility, scale), price
 
 
-def solve_instance(inst: DiscreteInstance, variable_budget: int = DEFAULT_VARIABLE_BUDGET) -> LPSolution:
+def solve_instance(inst: DiscreteInstance) -> LPSolution:
     """The revenue-optimal mechanism, buyer surplus maximal among those.
 
     One buyer with one good takes the closed form: the best posted price
     (``best_posted_price``), with a revenue tie going to the lower price, as
     the LP's second stage does.  Every type valued at least the price buys
     at it; when the revenue is 0 (every value is 0) nothing is sold.  Every
-    other instance solves the two-stage exact LP, and only that path builds
-    variables, so ``variable_budget`` guards only it.
+    other instance solves the two-stage exact LP.
     """
     if inst.n_buyers == 1 and inst.goods == 1:
         prior = inst.buyers[0]
@@ -347,7 +346,7 @@ def solve_instance(inst: DiscreteInstance, variable_budget: int = DEFAULT_VARIAB
         q = tuple(((Fraction(int(s)),),) for s in sold)
         r = tuple((price if s else Fraction(0),) for s in sold)
         return LPSolution(Mechanism(inst, q, r), revenue, utility)
-    system = build_lp(inst, variable_budget)
+    system = build_lp(inst)
     stage1, stage2 = system.lp.solve_lexicographic(
         [system.revenue_objective, system.surplus_objective]
     )

@@ -61,6 +61,7 @@ from typing import Mapping, Optional, Sequence
 from .core import GuardExceeded, ValidationError, parse_rational
 
 _BLAND_TRIGGER = 40
+PIVOT_CAP = 2_000_000
 
 
 class LpUnbounded(RuntimeError):
@@ -111,27 +112,19 @@ def _integer_row(coeffs: dict, extra: Fraction) -> tuple[dict, int, int]:
 class ExactSimplex:
     """A maximization LP over n nonnegative structural variables."""
 
-    def __init__(self, n_vars: int, pivot_cap: int = 2_000_000):
+    def __init__(self, n_vars: int):
         # bool is an int subclass, but True is not a count
         if type(n_vars) is not int or n_vars < 1:
             raise ValidationError(f"n_vars must be an integer >= 1, got {n_vars!r}")
-        if type(pivot_cap) is not int or pivot_cap < 0:
-            raise ValidationError(f"pivot_cap must be an integer >= 0, got {pivot_cap!r}")
         self.n_vars = n_vars
-        self.pivot_cap = pivot_cap
         # every row as (numerators, rhs, den) over ints in <= form, primitive
         self._constraints: list[tuple[dict, int, int]] = []
 
-    def _coeffs(self, coeffs) -> dict:
-        if isinstance(coeffs, (str, bytes)):
-            # a string is a sequence, but '12' is not the coefficients (1, 2)
-            raise ValidationError(f"coefficients must be a mapping or a sequence, got {coeffs!r}")
-        if isinstance(coeffs, Mapping):
-            items = coeffs.items()
-        else:
-            items = ((j, v) for j, v in enumerate(coeffs))
+    def _coeffs(self, coeffs: Mapping) -> dict:
+        if not isinstance(coeffs, Mapping):
+            raise ValidationError(f"coefficients must be a mapping, got {coeffs!r}")
         out = {}
-        for j, v in items:
+        for j, v in coeffs.items():
             if type(j) is not int or not 0 <= j < self.n_vars:
                 raise ValidationError(
                     f"variable index must be an int in 0..{self.n_vars - 1}, got {j!r}"
@@ -141,14 +134,14 @@ class ExactSimplex:
                 out[j] = v
         return out
 
-    def add_le(self, coeffs, rhs):
+    def add_le(self, coeffs: Mapping, rhs):
         """Add coeffs . x <= rhs; rhs must be nonnegative, so that x = 0 meets it."""
         row, rhs = self._coeffs(coeffs), parse_rational(rhs)
         if rhs < 0:
             raise ValidationError(f"<= row needs a nonnegative right-hand side, got {rhs}")
         self._add_row(*_integer_row(row, rhs))
 
-    def add_ge(self, coeffs, rhs):
+    def add_ge(self, coeffs: Mapping, rhs):
         """Add coeffs . x >= rhs; rhs must be nonpositive, so that x = 0 meets it."""
         row, rhs = self._coeffs(coeffs), parse_rational(rhs)
         if rhs > 0:
@@ -216,8 +209,8 @@ class ExactSimplex:
                 degenerate_run = 0
                 bland = False
             self._pivot(r, col, rs)
-            if self._pivots > self.pivot_cap:
-                raise GuardExceeded(f"simplex exceeded {self.pivot_cap} pivots")
+            if self._pivots > PIVOT_CAP:
+                raise GuardExceeded(f"simplex exceeded {PIVOT_CAP} pivots")
 
     def _price_out(self, rs):
         """Eliminate the basic columns of rows ``rs`` from the reduced-cost row in one pass.
@@ -352,5 +345,5 @@ class ExactSimplex:
             self._forbidden |= {j for j, g in self._goal.items() if g < 0}
         return results
 
-    def solve(self, objective) -> SimplexResult:
+    def solve(self, objective: Mapping) -> SimplexResult:
         return self.solve_lexicographic([objective])[0]

@@ -273,15 +273,6 @@ def surplus_to_csv(out: ProfileSurplus) -> str:
     return "\n".join(lines) + "\n"
 
 
-def threshold_partition(t) -> IntervalPartition:
-    t = parse_rational(t)
-    if not 0 <= t < 1:
-        raise ValidationError("threshold must lie in [0, 1)")
-    if t == 0:
-        return IntervalPartition((Fraction(0), Fraction(1)))
-    return IntervalPartition((Fraction(0), t, Fraction(1)))
-
-
 def zeno_partition(depth: int) -> IntervalPartition:
     """Breakpoints 0 < 2^-depth < ... < 1/2 < 1: repeated halving toward zero."""
     if type(depth) is not int or depth < 0:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from disclosure_games import dpconnected
 from disclosure_games.core import GuardExceeded, ValidationError, compositions
 from disclosure_games.dpconnected import (
     SingleBuyerInstance,
@@ -105,6 +106,12 @@ class TestBuyerUtility:
         with pytest.raises(ValidationError, match="message indices must be integers"):
             buyer_utility(GAP_HALF, msg)
 
+    @pytest.mark.parametrize("msg", [None, 1, {0, 1}])
+    def test_non_sequence_message_rejected(self, msg):
+        # the check condition_on_messages makes, so a set is refused here too
+        with pytest.raises(ValidationError, match="a message must be a sequence of type indices"):
+            buyer_utility(GAP_HALF, msg)
+
     def test_lowest_price_bounds_utility(self):
         rng = random.Random(321)
         for _ in range(50):
@@ -175,15 +182,11 @@ class TestBruteForceOracle:
         partition, utility = brute_force_connected(GAP_HALF)
         assert utility == F(1, 18)
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
         inst = rand_single_buyer(random.Random(5), max_n=12)
-        with pytest.raises(GuardExceeded):
-            brute_force_connected(inst, guard=inst.n - 1)
-
-    @pytest.mark.parametrize("guard", [True, False, 20.0, "20", None])
-    def test_guard_must_be_an_int(self, guard):
-        with pytest.raises(ValidationError, match="guard must be an integer"):
-            brute_force_connected(GAP_HALF, guard=guard)
+        monkeypatch.setattr(dpconnected, "BRUTE_FORCE_GUARD", inst.n - 1)
+        with pytest.raises(GuardExceeded, match=f"compositions of {inst.n} types is over the guard"):
+            brute_force_connected(inst)
 
     def test_matches_dp_on_random_instances(self):
         rng = random.Random(20240601)

@@ -127,9 +127,25 @@ class TestEvaluateProfile:
 
     def test_profile_length_must_match_buyers(self):
         silent = no_disclosure_profile(TWO_BUYERS_123)
-        for profile in (silent * 2, silent[:1], ()):
+        for profile in (silent * 2, silent[:1], (), 5, None, dict(enumerate(silent))):
             with pytest.raises(ValidationError, match="one partition per buyer"):
                 evaluate_profile(TWO_BUYERS_123, profile)
+
+    @pytest.mark.parametrize(
+        "profile, buyer",
+        [
+            ([5, 5], 1),
+            ([[5], [5]], 1),
+            ([[[0, 1, 2]], 5], 2),
+            ([[[0, 1, 2]], [[0, 1], 2]], 2),
+            ([[[0, 1, 2]], [{0, 1, 2}]], 2),
+        ],
+    )
+    def test_partitions_and_blocks_must_be_sequences(self, profile, buyer):
+        with pytest.raises(
+            ValidationError, match=f"^buyer {buyer}: a partition must be a sequence of messages"
+        ):
+            evaluate_profile(TWO_BUYERS_123, profile)
 
     def test_merging_equivalent_blocks_changes_nothing(self):
         # buyer A never wins, so any refinement of A's messages induces the
@@ -206,16 +222,19 @@ class TestSearch:
             conn = search_profiles(inst, connected_only=True)
             assert conn[0][1].total_surplus <= free[0][1].total_surplus
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        monkeypatch.setattr(game, "SEARCH_GUARD", 3)
         with pytest.raises(GuardExceeded):
-            search_profiles(TWO_BUYERS_123, guard=3)
+            search_profiles(TWO_BUYERS_123)
 
     @pytest.mark.parametrize("connected_only, count", [(False, 25), (True, 16)])
-    def test_guard_is_the_exact_profile_count(self, connected_only, count):
-        results = search_profiles(TWO_BUYERS_123, connected_only, guard=count)
+    def test_guard_is_the_exact_profile_count(self, monkeypatch, connected_only, count):
+        monkeypatch.setattr(game, "SEARCH_GUARD", count)
+        results = search_profiles(TWO_BUYERS_123, connected_only)
         assert len(results) == count
+        monkeypatch.setattr(game, "SEARCH_GUARD", count - 1)
         with pytest.raises(GuardExceeded, match=f"would evaluate {count} > {count - 1} profiles"):
-            search_profiles(TWO_BUYERS_123, connected_only, guard=count - 1)
+            search_profiles(TWO_BUYERS_123, connected_only)
 
     @pytest.mark.parametrize(
         "n, connected_only, count", [(12, False, 4_213_597), (21, True, 2**20)]

@@ -193,9 +193,12 @@ class TestBuildCounts:
             sys = build_lp(inst)
             assert sum(sys.counts.values()) == sys.lp.n_constraints
 
-    def test_variable_budget(self):
-        with pytest.raises(GuardExceeded):
-            build_lp(TWO_BUYERS_123, variable_budget=10)
+    def test_variable_budget(self, monkeypatch):
+        monkeypatch.setattr(lpmech, "VARIABLE_BUDGET", 36)
+        assert build_lp(TWO_BUYERS_123).lp.n_vars == 36
+        monkeypatch.setattr(lpmech, "VARIABLE_BUDGET", 35)
+        with pytest.raises(GuardExceeded, match="needs 36 LP variables, over the budget of 35"):
+            build_lp(TWO_BUYERS_123)
 
     def test_grid_size_must_be_a_positive_integer(self):
         for n, buyers in ((0, 2), (True, 2), ("3", 2), (3, True), (3, 0)):
@@ -305,11 +308,13 @@ class TestIntegerRows:
 
     NAMED = [uniform_grid_instance(5), uniform_grid_instance(4, 3), AUCTION_123, MENU_FOUR_TYPES]
 
-    def test_same_tableau(self):
+    def corpus(self) -> list:
         rng = random.Random(1806)
-        corpus = self.NAMED + [coprime_instance(rng) for _ in range(80)]
+        return self.NAMED + [coprime_instance(rng) for _ in range(80)]
+
+    def test_same_tableau(self):
         zeros = 0
-        for inst in corpus:
+        for inst in self.corpus():
             system = build_lp(inst)
             reference = fraction_rows_lp(system)
             system.lp._build()
@@ -321,6 +326,28 @@ class TestIntegerRows:
             assert system.lp._den == reference._den
             zeros += any(v == 0 for prior in inst.buyers for t in prior for v in t.values)
         assert zeros > 20
+
+    def test_same_objectives(self):
+        # the objectives take each joint type's weight from the int weights;
+        # they must equal the joint_prob build entry for entry, in key order
+        for inst in self.corpus():
+            system = build_lp(inst)
+            revenue, surplus = {}, {}
+            for t, jt in enumerate(system.joint_types):
+                w = joint_prob(inst, jt)
+                for j in range(inst.n_buyers):
+                    r = system.r_index(t, j)
+                    revenue[r] = w
+                    surplus[r] = -w
+                    for k, v in enumerate(inst.buyers[j][jt[j]].values):
+                        surplus[system.q_index(t, j, k)] = w * v
+            assert list(system.revenue_objective.items()) == list(revenue.items())
+            assert list(system.surplus_objective.items()) == list(surplus.items())
+            assert all(
+                type(v) is F
+                for objective in (system.revenue_objective, system.surplus_objective)
+                for v in objective.values()
+            )
 
 
 class TestSingleBuyerMenus:
@@ -875,9 +902,51 @@ class TestRouting:
             solve_instance(inst)
         assert built == [TWO_BUYERS_123, MENU_FOUR_TYPES, TWO_GOODS_CORRELATED]
 
-    def test_variable_budget_guards_the_lp(self):
+    def test_variable_budget_guards_the_lp(self, monkeypatch):
+        monkeypatch.setattr(lpmech, "VARIABLE_BUDGET", 10)
         with pytest.raises(GuardExceeded):
-            solve_instance(TWO_BUYERS_123, variable_budget=10)
+            solve_instance(TWO_BUYERS_123)
+
+
+@st.composite
+def small_instances(draw) -> DiscreteInstance:
+    """1-2 buyers, 1-2 goods, 1-3 types; values 0..12 over denominators 1, 2
+    and 3, probabilities from weights 1..4."""
+    goods = draw(st.integers(1, 2))
+    value = st.builds(F, st.integers(0, 12), st.sampled_from((1, 2, 3)))
+    buyers = []
+    for _ in range(draw(st.integers(1, 2))):
+        vectors = draw(
+            st.lists(st.tuples(*[value] * goods), min_size=1, max_size=3, unique=True)
+        )
+        weights = draw(st.lists(st.integers(1, 4), min_size=len(vectors), max_size=len(vectors)))
+        total = sum(weights)
+        buyers.append(tuple(BuyerType(F(w, total), v) for v, w in zip(vectors, weights)))
+    return DiscreteInstance(goods, tuple(buyers))
+
+
+class TestRelabelling:
+    """Renaming one buyer's types, or swapping the buyers, maps the LP onto
+    itself, so the revenue optimum and the best surplus on it stay."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_instances(), st.data())
+    def test_relabelling_keeps_revenue_and_surplus(self, inst, data):
+        j = data.draw(st.integers(0, inst.n_buyers - 1), label="buyer")
+        order = data.draw(st.permutations(range(inst.n_types(j))), label="type order")
+        permuted = list(inst.buyers)
+        permuted[j] = tuple(inst.buyers[j][i] for i in order)
+        base = solve_instance(inst)
+        for variant in (
+            inst,
+            DiscreteInstance(inst.goods, tuple(permuted)),
+            DiscreteInstance(inst.goods, inst.buyers[::-1]),
+        ):
+            sol = solve_instance(variant)
+            report = verify_mechanism(variant, sol.mechanism)
+            assert report.valid, report.failure
+            assert (report.revenue, report.buyer_surplus) == (sol.revenue, sol.buyer_surplus)
+            assert (sol.revenue, sol.buyer_surplus) == (base.revenue, base.buyer_surplus)
 
 
 class TestInvariants:

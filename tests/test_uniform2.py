@@ -23,7 +23,6 @@ from disclosure_games.uniform2 import (
     profile_surplus,
     segment,
     surplus_to_csv,
-    threshold_partition,
     threshold_surplus,
     virtual_value,
     winner_region,
@@ -317,13 +316,12 @@ class TestThresholdFamily:
         for t in (0.25, True):
             with pytest.raises(ValidationError):
                 threshold_surplus(t)
-            with pytest.raises(ValidationError):
-                threshold_partition(t)
 
     def test_matches_profile_surplus(self):
         t = F(1, 3)
         split = threshold_surplus(t)
-        rep = profile_surplus(threshold_partition(t), threshold_partition(t))
+        split_at_t = IntervalPartition((F(0), t, F(1)))
+        rep = profile_surplus(split_at_t, split_at_t)
         assert rep.u_a == split.per_buyer
         assert rep.total == split.total
 
