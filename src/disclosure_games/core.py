@@ -65,6 +65,12 @@ def require_exact(x, what: str) -> None:
         raise ValidationError(f"{what} must be an int or a Fraction, got {x!r}")
 
 
+def require_good(k, goods: int) -> None:
+    """Reject a good index that is not an int in 0..goods-1 (bool included)."""
+    if type(k) is not int or not 0 <= k < goods:
+        raise ValidationError(f"good index must be an int in 0..{goods - 1}, got {k!r}")
+
+
 def format_rational(q: Fraction) -> str:
     """Canonical string form: "num/den" in lowest terms, "num" for integers."""
     q = Fraction(q)

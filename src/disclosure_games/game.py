@@ -12,7 +12,12 @@ With one buyer and one good, a message's entry comes straight from the
 prior: ``lpmech.best_posted_price`` on the message's unnormalised weights
 returns its mass times the conditioned revenue and utility, at the same
 price, since scaling every candidate's revenue and utility by the mass
-keeps their order.  Every other instance conditions on the messages and
+keeps their order.  The evaluator takes every value over one lcm V and
+every probability over one lcm W once, so these entries are int
+numerators: the mass over W, revenue and utility over V W.  A profile
+sums them as ints and builds its three ``Fraction``s at the end, and
+``search_profiles`` ranks on int numerators over the lcm of the totals'
+denominators.  Every other instance conditions on the messages and
 solves the exact LP (``lpmech.solve_instance``).  ``GameOutcome``'s
 ``per_message`` solutions are built on first read; a directly priced
 message then goes through ``solve_instance`` like the rest.
@@ -29,6 +34,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Mapping, Sequence
 
 from .core import (
@@ -43,6 +49,7 @@ from .core import (
     enumerate_set_partitions,
     format_rational,
     is_sequence,
+    require_good,
     validate_partition,
 )
 from .lpmech import LPSolution, best_posted_price, joint_types, solve_instance
@@ -77,6 +84,7 @@ class GameOutcome:
         }
 
     def unsold_probability(self, k: int) -> Fraction:
+        require_good(k, self.evaluator.instance.goods)
         return sum(
             (prob * sol.mechanism.unsold_probability(k)
              for prob, sol in self.per_message.values()),
@@ -108,16 +116,32 @@ class GameEvaluator:
 
     def __init__(self, inst: DiscreteInstance):
         self.instance = inst
-        self._posted_price = inst.n_buyers == 1 and inst.goods == 1
         # messages -> (prob, solution or None until first read, prob * revenue,
-        # prob * each buyer's surplus, all sold, efficient)
+        # prob * each buyer's surplus, all sold, efficient).  Posted-price
+        # entries hold ints: prob over _w_scale, revenue and surplus over
+        # _scale.  LP entries hold Fractions and _scale is 1, so evaluate
+        # sums both kinds the same way and divides by _scale once.
         self._cache: dict[tuple, tuple] = {}
+        self._scale = self._w_scale = 1
+        self._pairs: list[tuple[int, int]] | None = None
+        if inst.n_buyers == 1 and inst.goods == 1:
+            prior = inst.buyers[0]
+            v_scale = lcm(*(t.values[0].denominator for t in prior))
+            w_scale = lcm(*(t.prob.denominator for t in prior))
+            # each type's (value over V, probability over W); a buyer's
+            # values are distinct, so these pairs sort in value order
+            self._pairs = [
+                (v.numerator * (v_scale // v.denominator), w.numerator * (w_scale // w.denominator))
+                for v, w in ((t.values[0], t.prob) for t in prior)
+            ]
+            self._scale = v_scale * w_scale
+            self._w_scale = w_scale
 
     def _solve_messages(self, messages: tuple[tuple[int, ...], ...]):
         hit = self._cache.get(messages)
         if hit is not None:
             return hit
-        if self._posted_price:
+        if self._pairs is not None:
             entry = self._posted_price_entry(messages[0])
         else:
             cond = condition_on_messages(self.instance, messages)
@@ -131,24 +155,23 @@ class GameEvaluator:
         return entry
 
     def _posted_price_entry(self, block: tuple[int, ...]) -> tuple:
-        # On the unnormalised weights the pass returns mass * revenue and
-        # mass * utility at the conditioned price.  With one buyer every
-        # sale goes to the only bidder, so "efficient" is "all sold".
-        types = sorted(
-            (self.instance.buyers[0][i] for i in block),
-            key=lambda t: t.values[0],
-            reverse=True,
-        )
-        mass = sum((t.prob for t in types), Fraction(0))
-        revenue, utility, price = best_posted_price((t.values[0], t.prob) for t in types)
-        sold = revenue > 0 and types[-1].values[0] >= price
-        return (mass, None, revenue, (utility,), sold, sold)
+        # On the unnormalised int weights the pass returns mass * revenue
+        # and mass * utility at the conditioned price, over scale 1.  With
+        # one buyer every sale goes to the only bidder, so "efficient" is
+        # "all sold".
+        pairs = sorted([self._pairs[i] for i in block], reverse=True)
+        mass = sum(w for _, w in pairs)
+        revenue, utility, price = best_posted_price(pairs)
+        revenue = revenue.numerator
+        sold = revenue > 0 and pairs[-1][0] >= price
+        return (mass, None, revenue, (utility.numerator,), sold, sold)
 
     def _solution(self, messages: tuple[tuple[int, ...], ...]) -> tuple[Fraction, LPSolution]:
         """A message tuple's probability and conditioned solution."""
         entry = self._solve_messages(messages)
         prob, sol = entry[0], entry[1]
         if sol is None:
+            prob = Fraction(prob, self._w_scale)
             sol = solve_instance(condition_on_messages(self.instance, messages).instance)
             self._cache[messages] = (prob, sol, *entry[2:])
         return prob, sol
@@ -165,8 +188,8 @@ class GameEvaluator:
         profile = tuple(
             validate_partition(part, inst.n_types(j)) for j, part in enumerate(profile)
         )
-        revenue = Fraction(0)
-        per_buyer = [Fraction(0)] * inst.n_buyers
+        revenue = 0
+        per_buyer = [0] * inst.n_buyers
         always_all_sold = True
         efficient = True
         for messages in itertools.product(*profile):
@@ -176,11 +199,11 @@ class GameEvaluator:
                 per_buyer[j] += u
             always_all_sold &= sold
             efficient &= eff
-        total = sum(per_buyer, Fraction(0))
+        scale = self._scale
         return GameOutcome(
-            expected_revenue=revenue,
-            per_buyer_utility=tuple(per_buyer),
-            total_surplus=total,
+            expected_revenue=Fraction(revenue, scale),
+            per_buyer_utility=tuple(Fraction(u, scale) for u in per_buyer),
+            total_surplus=Fraction(sum(per_buyer), scale),
             always_all_sold=always_all_sold,
             efficient=efficient,
             profile=profile,
@@ -242,7 +265,15 @@ def search_profiles(
         (profile, evaluator.evaluate(profile))
         for profile in itertools.product(*per_buyer)
     ]
-    results.sort(key=lambda pr: (-pr[1].total_surplus, pr[0]))
+    # Rank on the totals as int numerators over their lcm: the scale is
+    # positive and every key exact, so the order is the Fractions' order.
+    scale = lcm(*(outcome.total_surplus.denominator for _, outcome in results))
+    results.sort(
+        key=lambda pr: (
+            -pr[1].total_surplus.numerator * (scale // pr[1].total_surplus.denominator),
+            pr[0],
+        )
+    )
     return results
 
 

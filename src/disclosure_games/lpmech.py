@@ -48,6 +48,7 @@ from .core import (
     GuardExceeded,
     ValidationError,
     format_rational,
+    require_good,
 )
 from .simplex import ExactSimplex
 
@@ -124,6 +125,7 @@ class Mechanism:
 
     def unsold_probability(self, k: int) -> Fraction:
         """Prior probability that good k stays with the seller."""
+        require_good(k, self.instance.goods)
         return sum(
             (w * (1 - sum((qj[k] for qj in q), Fraction(0)))
              for (_, w, _), q in zip(self._table, self.q)),
@@ -309,7 +311,8 @@ def best_posted_price(
     over V W and the price over V; both scales are positive, so the ints
     order the candidates as their fractions do.  Fractions appear only at
     the boundary: the two returned sums, built once, and the price, which
-    is the winning pair's own value.
+    is the winning pair's own value.  Int pairs are taken as they are, both
+    scales being 1: the sums then come back over 1 and the price as an int.
     """
     pairs = list(pairs)
     if not pairs:

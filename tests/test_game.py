@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disclosure_games import game
 from disclosure_games.core import (
@@ -11,6 +13,7 @@ from disclosure_games.core import (
     GuardExceeded,
     ValidationError,
     condition_on_messages,
+    enumerate_set_partitions,
 )
 from disclosure_games.game import (
     GameEvaluator,
@@ -80,6 +83,20 @@ class TestEvaluateProfile:
         assert outcome.unsold_probability(0) == F(1, 16)
         assert not outcome.always_all_sold
         assert not outcome.efficient
+
+    @pytest.mark.parametrize("k", [-1, True, 1, 1.5])
+    def test_unsold_probability_rejects_a_malformed_good_before_solving(self, k, monkeypatch):
+        inst = game.RARE_LOWS_INSTANCE
+        outcome = evaluate_profile(inst, no_disclosure_profile(inst))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a message was solved for a malformed good index")
+
+        monkeypatch.setattr(game, "solve_instance", refuse)
+        monkeypatch.setattr(game, "condition_on_messages", refuse)
+        with pytest.raises(ValidationError, match="good index"):
+            outcome.unsold_probability(k)
+        assert "per_message" not in vars(outcome)
 
     def test_two_buyer_low_high_split(self):
         profile = (((0,), (1, 2)), ((0,), (1, 2)))
@@ -352,7 +369,17 @@ class TestPostedPriceEntries:
             messages = (block,)
             prob, sol, rev, utilities, sold, eff = evaluator._solve_messages(messages)
             assert sol is None
-            assert (prob, rev, utilities, sold, eff) == self.conditioned_entry(inst, messages)
+            # int numerators: the mass over W, revenue and utility over V W
+            w_scale, scale = evaluator._w_scale, evaluator._scale
+            assert all(type(x) is int for x in (prob, rev, *utilities))
+            got = (
+                Fraction(prob, w_scale),
+                Fraction(rev, scale),
+                tuple(Fraction(u, scale) for u in utilities),
+                sold,
+                eff,
+            )
+            assert got == self.conditioned_entry(inst, messages)
 
     def test_every_reduction_message(self):
         for pp in sweep_size_lists(3, 4):
@@ -395,3 +422,73 @@ class TestPostedPriceEntries:
                 assert (sol.revenue, sol.buyer_surplus) == (want.revenue, want.buyer_surplus)
                 assert (sol.mechanism.q, sol.mechanism.r) == (want.mechanism.q, want.mechanism.r)
                 assert verify_mechanism(sol.mechanism.instance, sol.mechanism).valid
+
+
+@st.composite
+def one_buyer_one_good(draw) -> DiscreteInstance:
+    """1-5 types, distinct values 0-12 over denominators 1-3, weights 1-4."""
+    n = draw(st.integers(1, 5))
+    values = draw(st.lists(
+        st.builds(F, st.integers(0, 12), st.integers(1, 3)), min_size=n, max_size=n, unique=True
+    ))
+    weights = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    prior = tuple(BuyerType(F(w, sum(weights)), (v,)) for w, v in zip(weights, values))
+    return DiscreteInstance(1, (prior,))
+
+
+class TestIntSearchAgainstFractions:
+    """One buyer, one good: the int sums and the int ranking of
+    ``search_profiles`` against conditioning, one solve per block, sums in
+    ``Fraction`` and a sort on ``Fraction`` totals."""
+
+    @staticmethod
+    def oracle(inst):
+        rows = []
+        for part in enumerate_set_partitions(inst.n_types(0)):
+            revenue = utility = F(0)
+            for block in part:
+                cond = condition_on_messages(inst, [block])
+                sol = solve_instance(cond.instance)
+                revenue += cond.masses[0] * sol.revenue
+                utility += cond.masses[0] * sol.buyer_surplus
+            rows.append(((part,), revenue, (utility,), utility))
+        rows.sort(key=lambda row: (-row[3], row[0]))
+        return rows
+
+    @settings(max_examples=40, deadline=None)
+    @given(one_buyer_one_good())
+    def test_search_matches_the_oracle(self, inst):
+        want = self.oracle(inst)
+        results = search_profiles(inst)
+        got = [
+            (profile, out.expected_revenue, out.per_buyer_utility, out.total_surplus)
+            for profile, out in results
+        ]
+        assert got == want
+        for _, revenue, (utility,), total in got:
+            assert type(revenue) is type(utility) is type(total) is Fraction
+        # the int masses come back as the conditioned probabilities
+        for messages, (prob, sol) in results[0][1].per_message.items():
+            cond = condition_on_messages(inst, messages)
+            assert prob == cond.masses[0]
+            assert sol.revenue == solve_instance(cond.instance).revenue
+        connected = {(part,) for part in connected_partitions(inst, 0)}
+        got = [
+            (profile, out.expected_revenue, out.per_buyer_utility, out.total_surplus)
+            for profile, out in search_profiles(inst, connected_only=True)
+        ]
+        assert got == [row for row in want if row[0] in connected]
+
+    @settings(max_examples=40, deadline=None)
+    @given(one_buyer_one_good())
+    def test_surplus_is_at_most_welfare_less_uniform_revenue(self, inst):
+        # Any segmentation leaves the seller at least the uniform-price
+        # revenue (Bergemann, Brooks & Morris 2015), and welfare is at most E[v].
+        prior = inst.buyers[0]
+        mean = sum(t.prob * t.values[0] for t in prior)
+        uniform = max(
+            t.values[0] * sum(s.prob for s in prior if s.values[0] >= t.values[0]) for t in prior
+        )
+        for _, out in search_profiles(inst):
+            assert out.total_surplus <= mean - uniform
+            assert out.expected_revenue >= uniform

@@ -401,6 +401,13 @@ class TestTwoBuyerAuction:
         assert sol.buyer_surplus == F(3, 8)
         assert sol.mechanism.unsold_probability(0) == F(1, 16)
 
+    @pytest.mark.parametrize("k", [-1, True, 1, 1.5])
+    def test_unsold_probability_rejects_a_malformed_good(self, k):
+        # one good: -1 would read it from the end, True would pass as 1
+        mech = solve_instance(TWO_BUYERS_123).mechanism
+        with pytest.raises(ValidationError, match="good index"):
+            mech.unsold_probability(k)
+
     def test_average_winning_prices(self):
         sol = solve_instance(TWO_BUYERS_123)
         mech = sol.mechanism
@@ -497,6 +504,56 @@ class TestVerification:
             assert report.valid, report.failure
             assert report.revenue == sol.revenue
             assert report.buyer_surplus == sol.buyer_surplus
+
+
+class TestSmallestViolations:
+    """Each of the verifier's checks rejects a violation of 1/1000 made on
+    ``AUCTION_123``'s optimal mechanism, and names the check it failed.
+
+    Joint type 0 is (0, 0), where nothing is sold; 4 is (1, 1), where buyer
+    1 pays its value 2 for the good; 8 is (2, 2), where the good is split
+    5/6 to buyer 1 and 1/6 to buyer 2.
+    """
+
+    @staticmethod
+    def perturbed(t, q=None, r=None):
+        mech = solve_instance(AUCTION_123).mechanism
+        qs = [list(row) for row in mech.q]
+        rs = [list(row) for row in mech.r]
+        if q is not None:
+            qs[t][0] = (q(qs[t][0][0]),)
+        if r is not None:
+            rs[t][0] = r(rs[t][0])
+        return Mechanism(AUCTION_123, tuple(map(tuple, qs)), tuple(map(tuple, rs)))
+
+    def test_the_optimum_is_valid(self):
+        assert verify_mechanism(AUCTION_123, self.perturbed(0)).valid
+
+    @pytest.mark.parametrize(
+        "t, q, r, failure",
+        [
+            (0, None, lambda r: F(-1, 1000),
+             "negative payment at joint type (0, 0), buyer 1"),
+            (0, lambda q: F(-1, 1000), None,
+             "negative allocation at joint type (0, 0), buyer 1, good 1"),
+            # utility 2 * 1 - (2 + 1/1000) = -1/1000
+            (4, None, lambda r: r + F(1, 1000),
+             "IR violated at joint type (1, 1) for buyer 1"),
+            # 5/6 + 1/1000 + 1/6 = 1 + 1/1000
+            (8, lambda q: q + F(1, 1000), None,
+             "good 1 oversold at joint type (2, 2)"),
+            # Type 3 (value 3, probability 1/2) is indifferent to reporting
+            # type 2 at the optimum.  Cutting buyer 1's payment at (1, 1),
+            # of weight 1/16, by 1/125 cuts report 2's interim payment by
+            # (1/16) / (1/4) * 1/125, and type 3 gains 1/2 of that: 1/1000.
+            (4, None, lambda r: r - F(1, 125),
+             "IC violated for buyer 1: type 3 gains by reporting 2"),
+        ],
+    )
+    def test_rejects_a_violation_of_one_thousandth(self, t, q, r, failure):
+        report = verify_mechanism(AUCTION_123, self.perturbed(t, q, r))
+        assert not report.valid
+        assert report.failure == failure
 
 
 class TestAdjacentIcRows:
