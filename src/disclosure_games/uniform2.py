@@ -9,6 +9,11 @@ value that would still have won.  Buyer surplus is a one-dimensional closed
 form per block pair, so every number here is an exact rational.  The
 polygonal win regions draw the figures and serve as the tests' oracle.
 
+A partition pair shares one integer grid (``profile_grid``): every
+breakpoint of both partitions is an even int numerator over one scale, so
+the block-pair surplus sums and the winner-region vertices are ints on it,
+and a ``Fraction`` is built only for what is returned.
+
 A partition block may degenerate to a single point (a buyer who disclosed
 exactly); such a buyer acts as a deterministic outside option for the
 seller, never earns surplus, and at an exact tie the sale goes to the
@@ -129,18 +134,25 @@ def winner_region(seg_a: UniformSegment, seg_b: UniformSegment, winner) -> list:
     """
     if seg_a.is_point_mass or seg_b.is_point_mass:
         raise ValidationError("win regions are only defined for nondegenerate segments")
-    a, b, c, d = seg_a.a, seg_a.b, seg_b.a, seg_b.b
-    rect = rectangle(a, b, c, d)
+    ends = (seg_a.a, seg_a.b, seg_b.a, seg_b.b)
+    return cell_region(*(parse_rational(v) for v in ends), winner)
+
+
+def cell_region(a, b, c, d, winner) -> list:
+    """``winner``'s region of the cell [a, b] x [c, d], clipped by two half-planes.
+
+    Ints stay ints: on a ``profile_grid`` cell, where b and d are even, the
+    lines x = b/2, y = d/2 and x - y = (b - d)/2 cross the cell's edges and
+    each other at int points, so every vertex is an int.
+    """
+    rect = [(a, c), (b, c), (b, d), (a, d)]
     if winner == "A":
         # 2*v_a - b >= 0 and 2*v_a - b >= 2*v_b - d
-        poly = clip_halfplane(rect, 2, 0, b)
-        return clip_halfplane(poly, 2, -2, b - d)
+        return clip_halfplane(clip_halfplane(rect, 2, 0, b), 2, -2, b - d)
     if winner == "B":
-        poly = clip_halfplane(rect, 0, 2, d)
-        return clip_halfplane(poly, -2, 2, d - b)
+        return clip_halfplane(clip_halfplane(rect, 0, 2, d), -2, 2, d - b)
     if winner is None:
-        poly = clip_halfplane(rect, -2, 0, -b)
-        return clip_halfplane(poly, 0, -2, -d)
+        return clip_halfplane(clip_halfplane(rect, -2, 0, -b), 0, -2, -d)
     raise ValidationError(f"winner must be 'A', 'B', or None, got {winner!r}")
 
 
@@ -230,26 +242,56 @@ class ProfileSurplus:
         return self.u_a + self.u_b
 
 
+def profile_grid(
+    pa: IntervalPartition, pb: IntervalPartition
+) -> tuple[int, list[int], list[int]]:
+    """One integer grid for a partition pair: (den, A's ticks, B's ticks).
+
+    den is twice the lcm of every breakpoint denominator of both
+    partitions, and each partition's breakpoints become int numerators over
+    den, all even.
+    """
+    points = pa.breakpoints + pb.breakpoints
+    den = 2 * lcm(*(t.denominator for t in points))
+
+    def ticks(p: IntervalPartition) -> list[int]:
+        return [t.numerator * (den // t.denominator) for t in p.breakpoints]
+
+    return den, ticks(pa), ticks(pb)
+
+
 def profile_surplus(pa: IntervalPartition, pb: IntervalPartition) -> ProfileSurplus:
     """Ex-ante buyer surplus of a disclosure profile, block pair by block pair.
 
     Row utilities are unconditional contributions (block-pair probability
-    already applied), so the row columns sum exactly to the totals.
+    already applied), so the row columns sum exactly to the totals.  On the
+    pair's ``profile_grid`` a row's probability is (b - a)(d - c) / den^2
+    and its utilities are ``_own_utility`` / (6 den^3): the probability
+    cancels the scale ``pair_surplus`` divides by, so every sum is an int.
     """
+    den, xs, ys = profile_grid(pa, pb)
+    segs_b = [UniformSegment(lo, hi) for lo, hi in pb.blocks()]
+    area = den * den
+    scale = 6 * den * area
     rows = []
-    total_a = Fraction(0)
-    total_b = Fraction(0)
-    for lo_a, hi_a in pa.blocks():
+    total_a = total_b = 0
+    for (lo_a, hi_a), a, b in zip(pa.blocks(), xs, xs[1:]):
         seg_a = UniformSegment(lo_a, hi_a)
-        for lo_b, hi_b in pb.blocks():
-            seg_b = UniformSegment(lo_b, hi_b)
-            prob = seg_a.length * seg_b.length
-            ua, ub = pair_surplus(seg_a, seg_b)
-            row = SurplusRow(seg_a, seg_b, prob, prob * ua, prob * ub)
-            rows.append(row)
-            total_a += row.u_a
-            total_b += row.u_b
-    return ProfileSurplus(tuple(rows), total_a, total_b)
+        for seg_b, c, d in zip(segs_b, ys, ys[1:]):
+            ua = _own_utility(a, b, c, d)
+            ub = _own_utility(c, d, a, b)
+            rows.append(
+                SurplusRow(
+                    seg_a,
+                    seg_b,
+                    Fraction((b - a) * (d - c), area),
+                    Fraction(ua, scale),
+                    Fraction(ub, scale),
+                )
+            )
+            total_a += ua
+            total_b += ub
+    return ProfileSurplus(tuple(rows), Fraction(total_a, scale), Fraction(total_b, scale))
 
 
 def surplus_to_csv(out: ProfileSurplus) -> str:

@@ -447,6 +447,25 @@ class TestGoldenStdout:
             "efficient: false\n"
         )
 
+    def test_eval_uniform_per_case(self, capsys):
+        code, out, _ = run(
+            capsys, "eval-uniform", "--a", "0,1/4,1", "--b", "0,1/3,1", "--per-case"
+        )
+        assert code == 0
+        assert out == (
+            "# disclosure-games eval-uniform --a 0,1/4,1 --b 0,1/3,1 --per-case\n"
+            "partition A: [0, 1/4] [1/4, 1]\n"
+            "partition B: [0, 1/3] [1/3, 1]\n"
+            "block A | block B | prob | uA | uB | total\n"
+            "[0, 1/4] | [0, 1/3] | 1/12 | 5/3072 | 23/9216 | 19/4608\n"
+            "[0, 1/4] | [1/3, 1] | 1/6 | 5/3072 | 85/3072 | 15/512\n"
+            "[1/4, 1] | [0, 1/3] | 1/4 | 23/648 | 11/2592 | 103/2592\n"
+            "[1/4, 1] | [1/3, 1] | 1/2 | 1/24 | 5/96 | 3/32\n"
+            "buyer A utility: 3335/41472 (~0.0804157)\n"
+            "buyer B utility: 3587/41472 (~0.0864921)\n"
+            "total surplus: 3461/20736 (~0.166908)\n"
+        )
+
     def test_search_one_buyer_top_five(self, capsys, tmp_path):
         path = tmp_path / "one_buyer.json"
         path.write_text(ONE_BUYER)

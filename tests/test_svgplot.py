@@ -1,7 +1,10 @@
 """Winner-region SVG rendering."""
 
+import hashlib
 import random
 from fractions import Fraction as F
+
+import pytest
 
 from disclosure_games.core import SILENT, IntervalPartition
 from disclosure_games.svgplot import COLOR_A, COLOR_B, allocation_svg
@@ -72,3 +75,36 @@ class TestAreaTiling:
         svg = allocation_svg(pa, pb)
         cells = len(pa.blocks()) * len(pb.blocks())
         assert 3 <= svg.count("<polygon") <= 3 * cells
+
+
+class TestPinnedBytes:
+    """Whole-figure digests: no change to the exact geometry may move a byte."""
+
+    @pytest.mark.parametrize(
+        "a, b, size, digest",
+        [
+            (
+                "0,1/2,1",
+                "0,1/3,1",
+                1490,
+                "bcbd2852ff1147c702749e5cd8635ab5fb2c9c15df8c68e90c55015e993d66f1",
+            ),
+            (
+                "0,3/32,1/4,13/32,1/2,49/64,1",
+                "0,1/64,5/32,3/8,5/8,29/32,1",
+                7761,
+                "aee843cb0a1fe95d20e03c7811c0cb2e76d0652462d9012dc1e9711bf3fef734",
+            ),
+            (
+                "0,2/7,3/7,6/7,1",
+                "0,10/97,50/97,1",
+                3168,
+                "3b4b3ac70ce6b34a0cc96ae0809d7fc2514ad3f75ea630b49253f7fefb0b0ee7",
+            ),
+        ],
+    )
+    def test_figure_bytes(self, a, b, size, digest):
+        svg = allocation_svg(IntervalPartition.from_string(a), IntervalPartition.from_string(b))
+        data = svg.encode()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == digest

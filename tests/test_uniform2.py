@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -15,11 +16,13 @@ from disclosure_games.geometry import (
 from disclosure_games.uniform2 import (
     UniformSegment,
     Witness,
+    cell_region,
     efficiency_witness,
     full_disclosure_vs_silent_limit,
     inverse_virtual,
     myerson_outcome,
     pair_surplus,
+    profile_grid,
     profile_surplus,
     segment,
     surplus_to_csv,
@@ -42,6 +45,32 @@ def rand_partition(rng, max_blocks=4):
     k = rng.randint(1, max_blocks)
     cuts = sorted({F(rng.randrange(1, 64), 64) for _ in range(k - 1)})
     return IntervalPartition(tuple([F(0)] + cuts + [F(1)]))
+
+
+MIXED_DENOMINATORS = (3, 7, 10, 2**30)
+
+
+def rand_mixed_partition(rng):
+    """0-6 cuts, each over a denominator drawn from MIXED_DENOMINATORS."""
+    cuts = set()
+    for _ in range(rng.randint(0, 6)):
+        den = rng.choice(MIXED_DENOMINATORS)
+        cuts.add(F(rng.randrange(1, den), den))
+    return IntervalPartition(tuple([F(0)] + sorted(cuts) + [F(1)]))
+
+
+def _mixed_cut():
+    return st.sampled_from(MIXED_DENOMINATORS).flatmap(
+        lambda den: st.integers(1, den - 1).map(lambda num: F(num, den))
+    )
+
+
+PARTITIONS = st.one_of(
+    st.lists(_mixed_cut(), max_size=6).map(
+        lambda cuts: IntervalPartition(tuple([F(0)] + sorted(set(cuts)) + [F(1)]))
+    ),
+    st.integers(0, 30).map(zeno_partition),
+)
 
 
 class TestVirtualValues:
@@ -212,15 +241,42 @@ class TestWinnerRegions:
 
     def test_membership_matches_outcomes(self):
         rng = random.Random(29)
-        sa, sb = segment(0, "1/2"), segment("1/4", 1)
-        regions = {w: winner_region(sa, sb, w) for w in ("A", "B", None)}
-        for _ in range(200):
-            va = rand_fraction(rng, sa.a, sa.b, den=128)
-            vb = rand_fraction(rng, sb.a, sb.b, den=128)
-            out = myerson_outcome(sa, sb, va, vb)
-            poly = regions[out.winner]
-            # winner's region must contain the point (boundary included)
-            assert _contains(poly, va, vb)
+        cases = [(segment(0, "1/2"), segment("1/4", 1))]
+        while len(cases) < 13:
+            a, b, c, d = (rand_fraction(rng, den=rng.choice((3, 7, 10, 97))) for _ in range(4))
+            if a != b and c != d:
+                cases.append((segment(min(a, b), max(a, b)), segment(min(c, d), max(c, d))))
+        for sa, sb in cases:
+            regions = {w: winner_region(sa, sb, w) for w in ("A", "B", None)}
+            for _ in range(100):
+                va = rand_fraction(rng, sa.a, sa.b, den=rng.choice((7, 128, 1000)))
+                vb = rand_fraction(rng, sb.a, sb.b, den=rng.choice((7, 128, 1000)))
+                out = myerson_outcome(sa, sb, va, vb)
+                poly = regions[out.winner]
+                # winner's region must contain the point (boundary included)
+                assert _contains(poly, va, vb), (sa, sb, va, vb)
+
+    def test_grid_cells_have_int_vertices_and_tile(self):
+        # the figure's path: every winner-region vertex of a profile_grid
+        # cell is an int, and over den it is winner_region's Fraction vertex
+        rng = random.Random(43)
+        for _ in range(30):
+            pa, pb = rand_mixed_partition(rng), rand_mixed_partition(rng)
+            den, xs, ys = profile_grid(pa, pb)
+            assert den % 2 == 0 and all(t % 2 == 0 for t in xs + ys)
+            assert [F(t, den) for t in xs] == list(pa.breakpoints)
+            assert [F(t, den) for t in ys] == list(pb.breakpoints)
+            for (a, b), (lo_a, hi_a) in zip(zip(xs, xs[1:]), pa.blocks()):
+                for (c, d), (lo_b, hi_b) in zip(zip(ys, ys[1:]), pb.blocks()):
+                    sa, sb = UniformSegment(lo_a, hi_a), UniformSegment(lo_b, hi_b)
+                    area = 0
+                    for w in ("A", "B", None):
+                        poly = cell_region(a, b, c, d, w)
+                        assert all(type(v) is int for pt in poly for v in pt), poly
+                        scaled = [(F(x, den), F(y, den)) for x, y in poly]
+                        assert scaled == winner_region(sa, sb, w)
+                        area += polygon_area(poly)
+                    assert area == (b - a) * (d - c)
 
 
 def _contains(poly, x, y):
@@ -252,11 +308,35 @@ class TestGeometryInputs:
             with pytest.raises(ValidationError):
                 integrate_linear(square, bad, 0, 0)
 
+    def test_float_and_boolean_coordinates_rejected(self):
+        for bad in (0.5, True):
+            for poly in ([(0, 0), (1, bad), (0, 1)], [(bad, 0)]):
+                with pytest.raises(ValidationError):
+                    clip_halfplane(poly, 1, 0, 0)
+                with pytest.raises(ValidationError):
+                    polygon_area(poly)
+                with pytest.raises(ValidationError):
+                    integrate_linear(poly, 1, 0, 0)
+
     def test_exact_inputs_accepted(self):
         assert rectangle(0, "1/10", 0, 1)[1] == (F(1, 10), F(0))
         half = clip_halfplane(rectangle(0, 1, 0, 1), F(-1), 0, "-1/2")
+        assert all(type(v) is F for pt in half for v in pt)
         assert polygon_area(half) == F(1, 2)
         assert integrate_linear(half, 0, 1, 0) == F(1, 8)
+
+    def test_int_polygons_stay_exact(self):
+        triangle = [(0, 0), (1, 0), (0, 1)]
+        for value in (integrate_linear(triangle, 1, 0, 0), polygon_area(triangle)):
+            assert value == F(1, 2) and type(value) is F
+        assert integrate_linear(triangle, 0, 1, 0) == F(1, 6)
+        square = [(0, 0), (4, 0), (4, 4), (0, 4)]
+        # an exact crossing stays an int, an inexact one becomes a Fraction
+        assert clip_halfplane(square, 2, 0, 4) == [(2, 0), (4, 0), (4, 4), (2, 4)]
+        third = clip_halfplane(square, 3, 0, 4)
+        assert third == [(F(4, 3), 0), (4, 0), (4, 4), (F(4, 3), 4)]
+        types = [tuple(map(type, pt)) for pt in third]
+        assert types == [(F, int), (int, int), (int, int), (F, int)]
 
 
 class TestProfileSurplus:
@@ -277,6 +357,19 @@ class TestProfileSurplus:
             assert sum(r.u_a for r in rep.rows) == rep.u_a
             assert sum(r.u_b for r in rep.rows) == rep.u_b
             assert sum(r.prob for r in rep.rows) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(PARTITIONS, PARTITIONS)
+    def test_rows_match_pair_surplus(self, pa, pb):
+        rep = profile_surplus(pa, pb)
+        blocks = [(a, b, c, d) for a, b in pa.blocks() for c, d in pb.blocks()]
+        assert [(r.seg_a.a, r.seg_a.b, r.seg_b.a, r.seg_b.b) for r in rep.rows] == blocks
+        for row in rep.rows:
+            ua, ub = pair_surplus(row.seg_a, row.seg_b)
+            assert row.prob == row.seg_a.length * row.seg_b.length
+            assert (row.u_a, row.u_b) == (row.prob * ua, row.prob * ub)
+        assert sum(r.u_a for r in rep.rows) == rep.u_a
+        assert sum(r.u_b for r in rep.rows) == rep.u_b
 
     def test_no_disclosure(self):
         rep = profile_surplus(SILENT, SILENT)
@@ -460,3 +553,12 @@ class TestCsvExport:
         ua = sum(F(r.split(",")[5]) for r in rows)
         ub = sum(F(r.split(",")[6]) for r in rows)
         assert (ua, ub) == (out.u_a, out.u_b)
+
+    def test_zeno_twelve_bytes_are_pinned(self):
+        # whole-table digest: no change to the exact arithmetic may move a byte
+        text = surplus_to_csv(profile_surplus(zeno_partition(12), zeno_partition(12)))
+        data = text.encode()
+        assert len(data) == 9516
+        assert hashlib.sha256(data).hexdigest() == (
+            "5bad8df7610f3f208bf5a6656526af0532be70bd7a77ae89d2fcbf374760921a"
+        )
