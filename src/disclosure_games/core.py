@@ -16,6 +16,8 @@ import re
 from collections import abc
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 SET_PARTITION_GUARD = 12
@@ -95,6 +97,17 @@ class BuyerType:
 
 
 @dataclass(frozen=True)
+class IntForm:
+    """A ``DiscreteInstance`` on int numerators; see ``DiscreteInstance.ints``."""
+
+    v_scale: int
+    values: tuple[tuple[tuple[int, ...], ...], ...]
+    w_scales: tuple[int, ...]
+    probs: tuple[tuple[int, ...], ...]
+    orders: tuple[tuple[int, ...], ...]
+
+
+@dataclass(frozen=True)
 class DiscreteInstance:
     """Finitely many goods and buyers; each buyer an independent discrete prior.
 
@@ -149,6 +162,34 @@ class DiscreteInstance:
 
     def n_types(self, j: int) -> int:
         return len(self.buyers[j])
+
+    @cached_property
+    def ints(self) -> IntForm:
+        """The instance on int numerators, built on first read and kept.
+
+        ``v_scale`` is the lcm of every value denominator and
+        ``values[j][i][k]`` the value of buyer j's type i for good k over it;
+        ``w_scales[j]`` is the lcm of buyer j's probability denominators and
+        ``probs[j][i]`` type i's probability over it, so a joint type's
+        weight is the product of its numerators over the product of the
+        scales.  ``orders[j]`` lists buyer j's types by value vector,
+        lexicographic for several goods: the scales are positive, so the
+        ints keep the rationals' order, and a buyer's value vectors are
+        distinct.  The cache lives in the instance ``__dict__``, outside the
+        fields, so equality, hashing and ``repr`` ignore it.
+        """
+        v_scale = lcm(*(v.denominator for prior in self.buyers for t in prior for v in t.values))
+        w_scales = tuple(lcm(*(t.prob.denominator for t in prior)) for prior in self.buyers)
+        values = tuple(
+            tuple(tuple(v.numerator * (v_scale // v.denominator) for v in t.values) for t in prior)
+            for prior in self.buyers
+        )
+        probs = tuple(
+            tuple(t.prob.numerator * (w // t.prob.denominator) for t in prior)
+            for prior, w in zip(self.buyers, w_scales)
+        )
+        orders = tuple(tuple(sorted(range(len(nums)), key=nums.__getitem__)) for nums in values)
+        return IntForm(v_scale, values, w_scales, probs, orders)
 
     @staticmethod
     def build(goods: int, buyers: Sequence[Sequence[tuple]]) -> "DiscreteInstance":

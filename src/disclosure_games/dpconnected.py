@@ -7,14 +7,15 @@ of types 1..i extends the best partition of some prefix 1..j by the block
 {j+1..i}.  Utilities are carried as unconditional probability mass, so
 block utilities add without renormalizing.
 
-Each call scores every connected block once, as int numerators over one
-scale per instance, the lcm of the blocks' utility denominators.  The DP
-and the brute force over all 2^(n-1) compositions add and compare those
-ints and build a ``Fraction`` only for what they return; the brute force
-keeps its own int sum and first-composition tie rule, so it checks the
-recursion and its tie order.
-A message's posted price comes from ``lpmech.best_posted_price``, the
-routine ``lpmech.solve_instance`` uses for one buyer with one good.
+Each call scores every connected block once, as int numerators over
+V W, the product of the scales of the instance's int form
+(``DiscreteInstance.ints``, cached on the ``SingleBuyerInstance``).  The
+DP and the brute force over all 2^(n-1) compositions add and compare
+those ints and build a ``Fraction`` only for what they return; the brute
+force keeps its own int sum and first-composition tie rule, so it checks
+the recursion and its tie order.  A message's posted price comes from
+``lpmech.best_posted_price`` on the same form, the routine
+``lpmech.solve_instance`` uses for one buyer with one good.
 Tests check ``buyer_utility`` against every candidate price, and check
 that routine against the full mechanism LP on every message of the
 hardness reductions.
@@ -22,15 +23,15 @@ hardness reductions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .core import (
     BuyerType,
     DiscreteInstance,
     GuardExceeded,
+    IntForm,
     SetPartition,
     ValidationError,
     compositions,
@@ -48,11 +49,12 @@ class SingleBuyerInstance:
 
     values: tuple[Fraction, ...]
     probs: tuple[Fraction, ...]
+    ints: IntForm = field(init=False, repr=False, compare=False)  # of to_instance()
 
     def __post_init__(self):
         if not self.values or len(self.values) != len(self.probs):
             raise ValidationError("need matching nonempty values and probabilities")
-        self.to_instance()  # checks exactness and the probabilities
+        object.__setattr__(self, "ints", self.to_instance().ints)  # checks exactness, probs
         if self.values[0] <= 0:
             raise ValidationError("values must be positive")
         if any(a >= b for a, b in zip(self.values, self.values[1:])):
@@ -71,9 +73,9 @@ class SingleBuyerInstance:
     def from_instance(inst: DiscreteInstance) -> "SingleBuyerInstance":
         if inst.n_buyers != 1 or inst.goods != 1:
             raise ValidationError("expected exactly one buyer and one good")
-        pairs = sorted((t.values[0], t.prob) for t in inst.buyers[0])
+        prior, order = inst.buyers[0], inst.ints.orders[0]
         return SingleBuyerInstance(
-            tuple(v for v, _ in pairs), tuple(p for _, p in pairs)
+            tuple(prior[i].values[0] for i in order), tuple(prior[i].prob for i in order)
         )
 
     def to_instance(self) -> DiscreteInstance:
@@ -86,28 +88,27 @@ def buyer_utility(inst: SingleBuyerInstance, msg: Sequence[int]) -> tuple[Fracti
     """Utility mass and price when the seller best-responds to one message.
 
     The seller posts the revenue-maximal price among the message's values
-    (``lpmech.best_posted_price``, over the values from the top down);
+    (``lpmech.best_posted_price`` on the int form, from the top value down);
     revenue ties go to the lower price.  The returned utility is
     unconditional mass (scaled by the message's prior probability), so
     utilities of disjoint messages add.
     """
     idx = message_indices(msg, inst.n)
-    _, utility, price = best_posted_price((inst.values[i], inst.probs[i]) for i in reversed(idx))
-    return utility, price
+    form = inst.ints
+    values, probs = form.values[0], form.probs[0]
+    _, utility, price = best_posted_price((values[i][0], probs[i]) for i in reversed(idx))
+    return Fraction(utility, form.v_scale * form.w_scales[0]), Fraction(price, form.v_scale)
 
 
 def _block_utilities(inst: SingleBuyerInstance) -> tuple[dict[tuple[int, ...], int], int]:
     """Utility mass of every connected block {j..i-1}, keyed by the block.
 
-    Returns int numerators over one positive scale, the lcm of the
-    utilities' denominators, so sums of blocks add and compare as ints.
+    Returns int numerators over one positive scale, V W of the int form,
+    so sums of blocks add and compare as ints.
     """
+    scale = inst.ints.v_scale * inst.ints.w_scales[0]
     blocks = [tuple(range(j, i)) for i in range(1, inst.n + 1) for j in range(i)]
-    utilities = [buyer_utility(inst, block)[0] for block in blocks]
-    scale = lcm(*(u.denominator for u in utilities))
-    scores = {
-        block: u.numerator * (scale // u.denominator) for block, u in zip(blocks, utilities)
-    }
+    scores = {block: int(buyer_utility(inst, block)[0] * scale) for block in blocks}
     return scores, scale
 
 

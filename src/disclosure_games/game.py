@@ -12,10 +12,10 @@ With one buyer and one good, a message's entry comes straight from the
 prior: ``lpmech.best_posted_price`` on the message's unnormalised weights
 returns its mass times the conditioned revenue and utility, at the same
 price, since scaling every candidate's revenue and utility by the mass
-keeps their order.  The evaluator takes every value over one lcm V and
-every probability over one lcm W once, so these entries are int
-numerators: the mass over W, revenue and utility over V W.  A profile
-sums them as ints and builds its three ``Fraction``s at the end, and
+keeps their order.  On the instance's int form (``DiscreteInstance.ints``:
+values over V, probabilities over W) these entries are int numerators:
+the mass over W, revenue and utility over V W.  A profile sums them as
+ints and builds its three ``Fraction``s at the end, and
 ``search_profiles`` ranks on int numerators over the lcm of the totals'
 denominators.  Every other instance conditions on the messages and
 solves the exact LP (``lpmech.solve_instance``).  ``GameOutcome``'s
@@ -122,26 +122,15 @@ class GameEvaluator:
         # _scale.  LP entries hold Fractions and _scale is 1, so evaluate
         # sums both kinds the same way and divides by _scale once.
         self._cache: dict[tuple, tuple] = {}
-        self._scale = self._w_scale = 1
-        self._pairs: list[tuple[int, int]] | None = None
-        if inst.n_buyers == 1 and inst.goods == 1:
-            prior = inst.buyers[0]
-            v_scale = lcm(*(t.values[0].denominator for t in prior))
-            w_scale = lcm(*(t.prob.denominator for t in prior))
-            # each type's (value over V, probability over W); a buyer's
-            # values are distinct, so these pairs sort in value order
-            self._pairs = [
-                (v.numerator * (v_scale // v.denominator), w.numerator * (w_scale // w.denominator))
-                for v, w in ((t.values[0], t.prob) for t in prior)
-            ]
-            self._scale = v_scale * w_scale
-            self._w_scale = w_scale
+        self._form = inst.ints if inst.n_buyers == 1 and inst.goods == 1 else None
+        self._w_scale = self._form.w_scales[0] if self._form else 1
+        self._scale = self._form.v_scale * self._w_scale if self._form else 1
 
     def _solve_messages(self, messages: tuple[tuple[int, ...], ...]):
         hit = self._cache.get(messages)
         if hit is not None:
             return hit
-        if self._pairs is not None:
+        if self._form is not None:
             entry = self._posted_price_entry(messages[0])
         else:
             cond = condition_on_messages(self.instance, messages)
@@ -156,15 +145,15 @@ class GameEvaluator:
 
     def _posted_price_entry(self, block: tuple[int, ...]) -> tuple:
         # On the unnormalised int weights the pass returns mass * revenue
-        # and mass * utility at the conditioned price, over scale 1.  With
-        # one buyer every sale goes to the only bidder, so "efficient" is
-        # "all sold".
-        pairs = sorted([self._pairs[i] for i in block], reverse=True)
-        mass = sum(w for _, w in pairs)
+        # and mass * utility at the conditioned price, over V W.  With one
+        # buyer every sale goes to the only bidder, so "efficient" is "all
+        # sold".
+        form = self._form
+        values, probs = form.values[0], form.probs[0]
+        pairs = [(values[i][0], probs[i]) for i in reversed(form.orders[0]) if i in block]
         revenue, utility, price = best_posted_price(pairs)
-        revenue = revenue.numerator
         sold = revenue > 0 and pairs[-1][0] >= price
-        return (mass, None, revenue, (utility.numerator,), sold, sold)
+        return (sum(w for _, w in pairs), None, revenue, (utility,), sold, sold)
 
     def _solution(self, messages: tuple[tuple[int, ...], ...]) -> tuple[Fraction, LPSolution]:
         """A message tuple's probability and conditioned solution."""
@@ -232,11 +221,10 @@ def connected_partitions(inst: DiscreteInstance, j: int) -> list[SetPartition]:
     goods); a partition is connected when each block is a run of that
     order.  There are 2^(n-1) of them.
     """
-    n = inst.n_types(j)
-    order = sorted(range(n), key=lambda i: inst.buyers[j][i].values)
+    order = inst.ints.orders[j]
     return [
         canonical_partition([order[i] for i in block] for block in blocks)
-        for blocks in compositions(n)
+        for blocks in compositions(len(order))
     ]
 
 

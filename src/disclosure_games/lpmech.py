@@ -26,11 +26,11 @@ LP.  Several goods keep every pair.  ``verify_mechanism`` checks every
 supply, IR and IC row regardless.
 
 The LP's rows reach the simplex as primitive int numerators: ``LpSystem``
-takes each buyer's probabilities over their lcm and every value over one
-lcm, builds each row as ints over one positive denominator, and the
-simplex stores it divided by the gcd, with no ``Fraction`` per
-coefficient.  The objectives take each joint type's weight from the same
-ints; they, the mechanism and its aggregates stay rational.
+builds each row from the instance's int form (``DiscreteInstance.ints``)
+as ints over one positive denominator, and the simplex stores it divided
+by the gcd, with no ``Fraction`` per coefficient.  The objectives take
+each joint type's weight from the same ints; they, the mechanism and its
+aggregates stay rational.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -151,10 +151,9 @@ class LpSystem:
     1981).  ``counts`` holds the rows built per kind, so callers can
     sanity-check the build against hand counts.
 
-    Rows are built from one int form of the instance: buyer j's
-    probabilities as numerators over their lcm P_j, so a joint type's
-    weight is an int over the product of the P_j, and every value as a
-    numerator over one lcm V.  Each row goes to the simplex as int
+    Rows are built from the instance's int form (``DiscreteInstance.ints``):
+    a joint type's weight is the product of its probability numerators, and
+    the value order is ``orders``.  Each row goes to the simplex as int
     numerators over one positive denominator in <= form, a >= row negated,
     and is stored divided by its gcd: the rational row's one primitive
     form, the same entries, key order and pivots as rows built in
@@ -190,20 +189,10 @@ class LpSystem:
         m, ell = self._m, self._ell
         nt = len(self.joint_types)
         lp = self.lp
-        # one int form of the instance: buyer j's probabilities as numerators
-        # over their lcm, so a joint type's weight is weights[t] over
-        # w_scale; every value as a numerator over one lcm, v_scale
-        v_scale = lcm(*(v.denominator for prior in inst.buyers for t in prior for v in t.values))
-        nums = tuple(
-            tuple(tuple(v.numerator * (v_scale // v.denominator) for v in t.values) for t in prior)
-            for prior in inst.buyers
-        )
-        w_scale = 1
-        prob_nums = []
-        for prior in inst.buyers:
-            scale = lcm(*(t.prob.denominator for t in prior))
-            w_scale *= scale
-            prob_nums.append(tuple(t.prob.numerator * (scale // t.prob.denominator) for t in prior))
+        # joint type weights: weights[t] over w_scale; values: nums over v_scale
+        form = inst.ints
+        v_scale, nums, prob_nums = form.v_scale, form.values, form.probs
+        w_scale = prod(form.w_scales)
         weights = [prod(prob_nums[j][i] for j, i in enumerate(jt)) for jt in self.joint_types]
         # rows go in as int numerators over one positive denominator, in
         # <= form (a >= row negated); the simplex stores them primitive
@@ -237,10 +226,8 @@ class LpSystem:
         den = w_scale * v_scale
         n_ic = 0
         for j in range(ell):
-            prior = inst.buyers[j]
-            nj = len(prior)
-            order = sorted(range(nj), key=lambda i: prior[i].values)
-            rank = {i: r for r, i in enumerate(order)}
+            nj = inst.n_types(j)
+            rank = {i: r for r, i in enumerate(form.orders[j])}
             slots: list[list[int]] = [[] for _ in range(nj)]
             for t, jt in enumerate(self.joint_types):
                 slots[jt[j]].append(t)
@@ -295,41 +282,27 @@ def uniform_grid_instance(n: int, buyers: int = 2) -> DiscreteInstance:
     return DiscreteInstance(1, (prior,) * buyers)
 
 
-def best_posted_price(
-    pairs: Iterable[tuple[Fraction, Fraction]],
-) -> tuple[Fraction, Fraction, Fraction]:
+def best_posted_price(pairs: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
     """The seller's best posted price against (value, weight) pairs.
 
-    The pairs come in decreasing value order, and one pass keeps the mass
-    and the value-weighted mass at or above each candidate price.  Returns
-    the largest (revenue, utility, price) triple: a revenue tie goes to the
-    lower price, which serves more mass of positive value and so leaves
-    strictly more utility.
-
-    The pass runs on ints: the values as numerators over their lcm V and
-    the weights over theirs, W.  Revenue and utility are then numerators
-    over V W and the price over V; both scales are positive, so the ints
-    order the candidates as their fractions do.  Fractions appear only at
-    the boundary: the two returned sums, built once, and the price, which
-    is the winning pair's own value.  Int pairs are taken as they are, both
-    scales being 1: the sums then come back over 1 and the price as an int.
+    The pairs are int numerators in decreasing value order, the values over
+    one scale V and the weights over one scale W, as ``DiscreteInstance.ints``
+    gives them.  One pass keeps the mass and the value-weighted mass at or
+    above each candidate price and returns the largest (revenue, utility,
+    value) triple, revenue and utility over V W and the value over V: a
+    revenue tie goes to the lower price, which serves more mass of positive
+    value and so leaves strictly more utility.  Both scales are positive,
+    so the ints order the candidates as their fractions do; callers divide.
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValidationError("a posted price needs at least one (value, weight) pair")
-    v_scale = lcm(*(v.denominator for v, _ in pairs))
-    w_scale = lcm(*(w.denominator for _, w in pairs))
     candidates = []
     mass = weighted = 0
-    for value, weight in pairs:
-        v = value.numerator * (v_scale // value.denominator)
-        w = weight.numerator * (w_scale // weight.denominator)
+    for v, w in pairs:
         mass += w
         weighted += w * v
-        candidates.append((v * mass, weighted - v * mass, v, value))
-    revenue, utility, _, price = max(candidates)
-    scale = v_scale * w_scale
-    return Fraction(revenue, scale), Fraction(utility, scale), price
+        candidates.append((v * mass, weighted - v * mass, v))
+    if not candidates:
+        raise ValidationError("a posted price needs at least one (value, weight) pair")
+    return max(candidates)
 
 
 def solve_instance(inst: DiscreteInstance) -> LPSolution:
@@ -342,13 +315,15 @@ def solve_instance(inst: DiscreteInstance) -> LPSolution:
     other instance solves the two-stage exact LP.
     """
     if inst.n_buyers == 1 and inst.goods == 1:
-        prior = inst.buyers[0]
-        ranked = sorted(prior, key=lambda t: t.values[0], reverse=True)
-        revenue, utility, price = best_posted_price((t.values[0], t.prob) for t in ranked)
-        sold = [revenue > 0 and t.values[0] >= price for t in prior]
+        form = inst.ints
+        pairs = [(v, w) for (v,), w in zip(form.values[0], form.probs[0])]
+        revenue, utility, price = best_posted_price(pairs[i] for i in reversed(form.orders[0]))
+        sold = [revenue > 0 and v >= price for v, _ in pairs]
+        scale = form.v_scale * form.w_scales[0]
+        paid = Fraction(price, form.v_scale)
         q = tuple(((Fraction(int(s)),),) for s in sold)
-        r = tuple((price if s else Fraction(0),) for s in sold)
-        return LPSolution(Mechanism(inst, q, r), revenue, utility)
+        r = tuple((paid if s else Fraction(0),) for s in sold)
+        return LPSolution(Mechanism(inst, q, r), Fraction(revenue, scale), Fraction(utility, scale))
     system = build_lp(inst)
     stage1, stage2 = system.lp.solve_lexicographic(
         [system.revenue_objective, system.surplus_objective]

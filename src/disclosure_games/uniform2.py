@@ -350,24 +350,18 @@ class ThresholdSplit:
 
 
 def threshold_surplus(t) -> ThresholdSplit:
-    """Quadrant breakdown for the symmetric one-threshold profile, t in [0, 1/2]."""
+    """Quadrant breakdown for the symmetric one-threshold profile, t in [0, 1/2].
+
+    A view of ``profile_surplus`` on {[0, t], [t, 1]}: buyer A's ``u_a`` on
+    its rows, which come low-low, low-high, high-low, high-high.  At t = 0
+    the one block is the high one, so the low quadrants are 0.
+    """
     t = parse_rational(t)
     if not 0 <= t <= Fraction(1, 2):
         raise ValidationError("threshold breakdown is defined for t in [0, 1/2]")
-    if t == 0:
-        high = UniformSegment(Fraction(0), Fraction(1))
-        ua, _ = pair_surplus(high, high)
-        zero = Fraction(0)
-        return ThresholdSplit(t, zero, zero, zero, ua)
-    low = UniformSegment(Fraction(0), t)
-    high = UniformSegment(t, Fraction(1))
-    p_low = t
-    p_high = 1 - t
-    ll = p_low * p_low * pair_surplus(low, low)[0]
-    lh = p_low * p_high * pair_surplus(low, high)[0]
-    hl = p_high * p_low * pair_surplus(high, low)[0]
-    hh = p_high * p_high * pair_surplus(high, high)[0]
-    return ThresholdSplit(t, ll, lh, hl, hh)
+    split = IntervalPartition((0, t, 1) if t else (0, 1))
+    rows = profile_surplus(split, split).rows
+    return ThresholdSplit(t, *[Fraction(0)] * (4 - len(rows)), *(row.u_a for row in rows))
 
 
 def full_disclosure_vs_silent_limit() -> tuple[Fraction, Fraction]:

@@ -1,7 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disclosure_games.acceptance import AUCTION_123
@@ -108,6 +109,62 @@ class TestInstanceDocuments:
     def test_rejects_duplicate_value_vectors(self):
         with pytest.raises(ValidationError, match="duplicate"):
             DiscreteInstance.build(1, [[("1/2", ["1"]), ("1/2", ["1"])]])
+
+
+RATIONAL = st.one_of(
+    st.integers(0, 20), st.fractions(min_value=0, max_value=20, max_denominator=12)
+)
+
+
+@st.composite
+def exact_instances(draw):
+    """1-3 buyers, 1-2 goods, values and probabilities given as ints or Fractions."""
+    goods = draw(st.integers(1, 2))
+    buyers = []
+    for _ in range(draw(st.integers(1, 3))):
+        vectors = draw(
+            st.lists(st.tuples(*[RATIONAL] * goods), min_size=1, max_size=4, unique=True)
+        )
+        weights = draw(st.lists(st.integers(1, 9), min_size=len(vectors), max_size=len(vectors)))
+        probs = [1] if len(vectors) == 1 else [Fraction(w, sum(weights)) for w in weights]
+        buyers.append(tuple(BuyerType(p, v) for p, v in zip(probs, vectors)))
+    return DiscreteInstance(goods, tuple(buyers))
+
+
+class TestIntForm:
+    """``DiscreteInstance.ints``: one integer form per instance, cached."""
+
+    def test_cache_leaves_equality_hash_and_repr_alone(self):
+        inst = DiscreteInstance.build(2, [[("1/3", ["1/2", "2"]), ("2/3", ["3", "1/7"])]])
+        twin = DiscreteInstance.build(2, [[("1/3", ["1/2", "2"]), ("2/3", ["3", "1/7"])]])
+        before = (inst == twin, hash(inst), repr(inst))
+        form = inst.ints
+        assert vars(inst)["ints"] is form and inst.ints is form
+        assert "ints" not in vars(twin)
+        assert (inst == twin, hash(inst), repr(inst)) == before
+        assert inst == twin and hash(inst) == hash(twin) and repr(inst) == repr(twin)
+
+    @settings(deadline=None)
+    @given(exact_instances())
+    def test_gives_back_every_fraction(self, inst):
+        form = inst.ints
+        assert type(form.v_scale) is int and form.v_scale > 0
+        value_nums = []
+        for j, prior in enumerate(inst.buyers):
+            w_scale = form.w_scales[j]
+            assert type(w_scale) is int and w_scale > 0
+            for i, t in enumerate(prior):
+                assert type(form.probs[j][i]) is int
+                assert Fraction(form.probs[j][i], w_scale) == t.prob
+                for k, v in enumerate(t.values):
+                    assert type(form.values[j][i][k]) is int
+                    assert Fraction(form.values[j][i][k], form.v_scale) == v
+                    value_nums.append(form.values[j][i][k])
+            # a common multiple is the lcm exactly when no factor divides out
+            assert math.gcd(w_scale, *form.probs[j]) == 1
+            exact = [tuple(map(Fraction, t.values)) for t in prior]
+            assert form.orders[j] == tuple(sorted(range(len(prior)), key=exact.__getitem__))
+        assert math.gcd(form.v_scale, *value_nums) == 1
 
 
 class TestSetPartitions:

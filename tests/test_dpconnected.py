@@ -67,6 +67,12 @@ class TestInstanceValidation:
         back = SingleBuyerInstance.from_instance(GAP_HALF.to_instance())
         assert back == GAP_HALF
 
+    def test_int_form_is_the_instances_and_stays_out_of_eq_hash_repr(self):
+        assert GAP_HALF.ints == GAP_HALF.to_instance().ints
+        twin = SingleBuyerInstance(GAP_HALF.values, GAP_HALF.probs)
+        assert twin == GAP_HALF and hash(twin) == hash(GAP_HALF)
+        assert "ints" not in repr(GAP_HALF)
+
 
 class TestBuyerUtility:
     def test_pooling_the_two_low_types_extracts_everything(self):

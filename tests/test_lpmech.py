@@ -905,8 +905,9 @@ def posted_price_corpus(seed: int, count: int) -> list[list[tuple[Fraction, Frac
 
 
 class TestPostedPricePass:
-    """The int pass of ``best_posted_price`` returns the Fraction reference's
-    (revenue, utility, price), each a Fraction, on every case."""
+    """``best_posted_price`` on each corpus list as int numerators, the values
+    over their lcm V and the weights over theirs, W, returns ints that give
+    the Fraction reference's (revenue, utility, price) over V W, V W and V."""
 
     CORPUS = posted_price_corpus(20261018, 400)
 
@@ -927,9 +928,16 @@ class TestPostedPricePass:
 
     def test_matches_the_fraction_reference(self):
         for pairs in self.CORPUS:
-            got = lpmech.best_posted_price(iter(pairs))
-            assert got == reference_posted_price(pairs), pairs
-            assert all(type(x) is Fraction for x in got)
+            v_scale = math.lcm(*(v.denominator for v, _ in pairs))
+            w_scale = math.lcm(*(w.denominator for _, w in pairs))
+            nums = [(int(v * v_scale), int(w * w_scale)) for v, w in pairs]
+            got = lpmech.best_posted_price(iter(nums))
+            assert all(type(x) is int for x in got)
+            revenue, utility, price = got
+            scale = v_scale * w_scale
+            assert (
+                Fraction(revenue, scale), Fraction(utility, scale), Fraction(price, v_scale)
+            ) == reference_posted_price(pairs), pairs
 
     def test_no_pairs_rejected(self):
         with pytest.raises(ValidationError, match="at least one"):

@@ -382,7 +382,34 @@ class TestProfileSurplus:
         assert rep.total == F(11, 64)
 
 
+def quadrant_oracle(t: Fraction) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Buyer A's four quadrants under {[0, t], [t, 1]}, low-low, low-high,
+    high-low, high-high: each block pair's conditional ``pair_surplus``
+    times the pair's probability, with the one block [0, 1] at t = 0."""
+    if t == 0:
+        whole = UniformSegment(F(0), F(1))
+        return F(0), F(0), F(0), pair_surplus(whole, whole)[0]
+    blocks = ((UniformSegment(F(0), t), t), (UniformSegment(t, F(1)), 1 - t))
+    return tuple(
+        p_own * p_other * pair_surplus(own, other)[0]
+        for own, p_own in blocks
+        for other, p_other in blocks
+    )
+
+
 class TestThresholdFamily:
+    @pytest.mark.parametrize("den", [3, 7, 10, 97, 1000, 999983, 2**40 + 1])
+    def test_matches_the_quadrant_oracle(self, den):
+        rng = random.Random(den)
+        thresholds = [F(rng.randint(1, den // 2), den) for _ in range(6)]
+        if den == 3:
+            thresholds += [F(0), F(1, 2)]
+        for t in thresholds:
+            split = threshold_surplus(t)
+            quadrants = (split.low_low, split.low_high, split.high_low, split.high_high)
+            assert split.t == t
+            assert quadrants == quadrant_oracle(t), t
+
     def test_quarter_threshold_low_low(self):
         split = threshold_surplus(F(1, 4))
         assert split.low_low == F(1, 768)
