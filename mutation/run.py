@@ -110,6 +110,29 @@ MUTANTS = (
         "tests/test_uniform2.py::TestThresholdFamily::test_matches_the_quadrant_oracle",
         "threshold_surplus reads the quadrants in reverse",
     ),
+    # exhaustive searches and the reduction checker
+    Mutant(
+        "src/disclosure_games/core.py",
+        "blocks.append(block[start][n])",
+        "blocks.insert(0, block[start][n])",
+        "tests/test_core.py::TestSetPartitions::test_compositions_match_the_counter_loop",
+        "compositions puts the last block first",
+    ),
+    Mutant(
+        "src/disclosure_games/hardness.py",
+        "if pooled_price != Fraction(pp.total, 2):",
+        "if False:",
+        "tests/test_hardness.py::TestVerifyReductionCanFail::"
+        "test_pooled_price_other_than_half_the_total",
+        "verify_reduction accepts any pooled price",
+    ),
+    Mutant(
+        "src/disclosure_games/hardness.py",
+        "if witness_surplus < reduced.target:",
+        "if False:",
+        "tests/test_hardness.py::TestVerifyReductionCanFail::test_witness_mass_below_the_target",
+        "verify_reduction accepts a witness below the target",
+    ),
 )
 
 

@@ -349,19 +349,28 @@ def compositions(n: int) -> Iterator[SetPartition]:
 
     Bit pos-1 of the counter cuts before element pos.  The order is fixed
     because the brute-force oracles break ties toward the first composition.
+    Each of the n(n+1)/2 blocks j..i-1 is built once per call, and every
+    composition is a tuple of references to those blocks; the counter loop
+    visits only the set bits of each counter value.
     """
     _require_size(n)
     if n == 0:
         yield ()
         return
+    # block[j][i] is the run j..i-1, for i > j
+    block = [
+        [()] * (j + 1) + [tuple(range(j, i)) for i in range(j + 1, n + 1)] for j in range(n)
+    ]
     for cuts in range(2 ** (n - 1)):
         blocks = []
         start = 0
-        for pos in range(1, n):
-            if cuts >> (pos - 1) & 1:
-                blocks.append(tuple(range(start, pos)))
-                start = pos
-        blocks.append(tuple(range(start, n)))
+        while cuts:
+            low = cuts & -cuts
+            pos = low.bit_length()
+            blocks.append(block[start][pos])
+            start = pos
+            cuts ^= low
+        blocks.append(block[start][n])
         yield tuple(blocks)
 
 

@@ -7,13 +7,15 @@ of types 1..i extends the best partition of some prefix 1..j by the block
 {j+1..i}.  Utilities are carried as unconditional probability mass, so
 block utilities add without renormalizing.
 
+A ``SingleBuyerInstance`` builds and validates its ``DiscreteInstance``
+once, at construction, and keeps it: ``to_instance()`` returns that
+object, so its int form (``DiscreteInstance.ints``) is derived once.
 Each call scores every connected block once, as int numerators over
-V W, the product of the scales of the instance's int form
-(``DiscreteInstance.ints``, cached on the ``SingleBuyerInstance``).  The
-DP and the brute force over all 2^(n-1) compositions add and compare
-those ints and build a ``Fraction`` only for what they return; the brute
-force keeps its own int sum and first-composition tie rule, so it checks
-the recursion and its tie order.  A message's posted price comes from
+V W, the product of the form's scales.  The DP and the brute force over
+all 2^(n-1) compositions add and compare those ints and build a
+``Fraction`` only for what they return; the brute force keeps its own
+int sum and first-composition tie rule, so it checks the recursion and
+its tie order.  A message's posted price comes from
 ``lpmech.best_posted_price`` on the same form, the routine
 ``lpmech.solve_instance`` uses for one buyer with one good.
 Tests check ``buyer_utility`` against every candidate price, and check
@@ -49,12 +51,15 @@ class SingleBuyerInstance:
 
     values: tuple[Fraction, ...]
     probs: tuple[Fraction, ...]
-    ints: IntForm = field(init=False, repr=False, compare=False)  # of to_instance()
+    _instance: DiscreteInstance = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.values or len(self.values) != len(self.probs):
             raise ValidationError("need matching nonempty values and probabilities")
-        object.__setattr__(self, "ints", self.to_instance().ints)  # checks exactness, probs
+        instance = DiscreteInstance(  # checks exactness and probabilities
+            1, (tuple(BuyerType(p, (v,)) for v, p in zip(self.values, self.probs)),)
+        )
+        object.__setattr__(self, "_instance", instance)
         if self.values[0] <= 0:
             raise ValidationError("values must be positive")
         if any(a >= b for a, b in zip(self.values, self.values[1:])):
@@ -63,6 +68,11 @@ class SingleBuyerInstance:
     @property
     def n(self) -> int:
         return len(self.values)
+
+    @property
+    def ints(self) -> IntForm:
+        """The int form of ``to_instance()``, derived once."""
+        return self._instance.ints
 
     @staticmethod
     def build(pairs: Sequence[tuple]) -> "SingleBuyerInstance":
@@ -79,9 +89,8 @@ class SingleBuyerInstance:
         )
 
     def to_instance(self) -> DiscreteInstance:
-        return DiscreteInstance(
-            1, (tuple(BuyerType(p, (v,)) for v, p in zip(self.values, self.probs)),)
-        )
+        """The ``DiscreteInstance`` validated at construction, the same object on every call."""
+        return self._instance
 
 
 def buyer_utility(inst: SingleBuyerInstance, msg: Sequence[int]) -> tuple[Fraction, Fraction]:

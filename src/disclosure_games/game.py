@@ -24,7 +24,10 @@ message then goes through ``solve_instance`` like the rest.
 
 Message tuples repeat across profiles, so an evaluator instance caches
 its entries; a full search over an instance touches each distinct
-message tuple once.
+message tuple once.  ``GameEvaluator.evaluate`` checks and canonicalises
+the profile it is given, then scores it; ``search_profiles`` generates
+canonical profiles itself and scores them directly, through the same
+scoring loop, without the check.
 """
 
 from __future__ import annotations
@@ -174,11 +177,14 @@ class GameEvaluator:
                 raise ValidationError(
                     f"buyer {j}: a partition must be a sequence of messages, got {part!r}"
                 )
-        profile = tuple(
-            validate_partition(part, inst.n_types(j)) for j, part in enumerate(profile)
+        return self._score(
+            tuple(validate_partition(part, inst.n_types(j)) for j, part in enumerate(profile))
         )
+
+    def _score(self, profile: tuple[SetPartition, ...]) -> GameOutcome:
+        """Score a profile already in canonical form, one partition per buyer, unchecked."""
         revenue = 0
-        per_buyer = [0] * inst.n_buyers
+        per_buyer = [0] * self.instance.n_buyers
         always_all_sold = True
         efficient = True
         for messages in itertools.product(*profile):
@@ -250,7 +256,7 @@ def search_profiles(
     ]
     evaluator = GameEvaluator(inst)
     results = [
-        (profile, evaluator.evaluate(profile))
+        (profile, evaluator._score(profile))
         for profile in itertools.product(*per_buyer)
     ]
     # Rank on the totals as int numerators over their lcm: the scale is

@@ -279,9 +279,10 @@ class ExactSimplex:
 
         ``rs`` lists the rows that hold ``col``, from the one scan the ratio
         test shares; no other row changes, and the updates are independent.
-        Row r takes its pivot numerator p as denominator (sign moved onto the
-        row), so its entry in ``col`` reads 1; every other row i in ``rs``,
-        with f = N_i[col] and g = gcd(p, f), becomes
+        Row r takes its pivot numerator p (positive: the ratio test skips
+        every entry <= 0) as denominator, so its entry in ``col`` reads 1;
+        every other row i in ``rs``, with f = N_i[col] and g = gcd(p, f),
+        becomes
         (N_i (p/g) - (f/g) N_r) / (D_i (p/g)): the row (N_i p - f N_r) / (D_i p)
         with g cancelled before it is formed, so no row is scaled by more
         than p/g, and not at all when p divides f.  ``_primitive`` then
@@ -294,10 +295,6 @@ class ExactSimplex:
         rowr = rows[r]
         p = rowr[col]
         if p != den[r]:
-            if p < 0:
-                p = -p
-                rowr = rows[r] = {j: -v for j, v in rowr.items()}
-                rhs[r] = -rhs[r]
             rhs[r], den[r] = _primitive(rowr, rhs[r], p)
             p = den[r]
         items = tuple(rowr.items())

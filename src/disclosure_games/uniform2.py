@@ -449,8 +449,6 @@ def efficiency_witness(pa: Optional[IntervalPartition], pb: Optional[IntervalPar
             v_own, v_other = a + eps, (x + d) / 2
         elif d < b:
             v_own, v_other = d + (b - d) / 4, d
-        elif d > b:
-            v_own, v_other = b, b + (d - b) / 4
         else:  # d == b: step into the neighbor block below [a, b]
             a2, b2 = own.block_containing((x + a) / 2)
             v_own, v_other = b2, b2 + (d - b2) / 4

@@ -5,8 +5,10 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from disclosure_games.acceptance import CRITERIA
+from disclosure_games import acceptance, cli, simplex
+from disclosure_games.acceptance import CRITERIA, Criterion
 from disclosure_games.cli import main
+from disclosure_games.lpmech import VerificationReport
 
 AUCTION = json.dumps(
     {
@@ -583,3 +585,39 @@ class TestDispatch:
             assert number == f"item {c.number}"
             assert elapsed.endswith("s") and float(elapsed[:-1]) <= c.budget_seconds
             assert budget == f"{c.budget_seconds:g}s"
+
+
+class TestFailureExits:
+    """Exit 2 (a checked claim failed) and exit 3 (a resource guard
+    tripped), each with its one-line stderr report."""
+
+    def test_pivot_cap_exit_3(self, capsys, auction_file, monkeypatch):
+        monkeypatch.setattr(simplex, "PIVOT_CAP", 1)
+        code, _, err = run(capsys, "lp-solve", "--instance", auction_file)
+        assert code == 3
+        assert err == "resource guard exceeded: simplex exceeded 1 pivots\n"
+
+    def test_suite_failure_exit_2(self, capsys, monkeypatch):
+        def refuted():
+            raise AssertionError("refuted on purpose")
+
+        monkeypatch.setattr(acceptance, "CRITERIA", (Criterion(7, "always refuted", 1, refuted),))
+        code, out, err = run(capsys, "suite")
+        assert code == 2
+        assert out.splitlines() == [
+            "# disclosure-games suite",
+            "FAIL  7 always refuted",
+            "       refuted on purpose",
+            "0 passed, 1 failed",
+        ]
+        timing, first = err.splitlines()
+        assert timing.startswith("item 7: ") and timing.endswith(" of 1s")
+        assert first == "first failure: item 7 (always refuted)"
+
+    def test_rejected_mechanism_exit_2(self, capsys, menu_file, monkeypatch):
+        rejected = VerificationReport(False, "IC row 1 broken", None, None)
+        monkeypatch.setattr(cli, "verify_mechanism", lambda inst, mech: rejected)
+        code, out, err = run(capsys, "lp-solve", "--instance", menu_file, "--verify")
+        assert code == 2
+        assert "verification:" not in out
+        assert err == "assertion failure: mechanism failed verification: IC row 1 broken\n"

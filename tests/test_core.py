@@ -207,6 +207,28 @@ class TestSetPartitions:
             ((0, 1, 2),), ((0,), (1, 2)), ((0, 1), (2,)), ((0,), (1,), (2,))
         ]
 
+    def test_compositions_match_the_counter_loop(self):
+        def counter_loop(n):
+            # reference: test every bit of every counter, build every block
+            if n == 0:
+                yield ()
+                return
+            for cuts in range(2 ** (n - 1)):
+                blocks = []
+                start = 0
+                for pos in range(1, n):
+                    if cuts >> (pos - 1) & 1:
+                        blocks.append(tuple(range(start, pos)))
+                        start = pos
+                blocks.append(tuple(range(start, n)))
+                yield tuple(blocks)
+
+        for n in range(13):
+            comps = list(compositions(n))
+            assert comps == list(counter_loop(n))
+            # comps holds every block alive, so distinct objects have distinct ids
+            assert len({id(block) for c in comps for block in c}) <= n * (n + 1) // 2
+
     def test_validate_rejects_overlap_and_gaps(self):
         with pytest.raises(ValidationError):
             validate_partition([[0, 1], [1, 2]], 3)

@@ -73,6 +73,14 @@ class TestInstanceValidation:
         assert twin == GAP_HALF and hash(twin) == hash(GAP_HALF)
         assert "ints" not in repr(GAP_HALF)
 
+    def test_keeps_the_one_discrete_instance_it_validated(self):
+        inst = SingleBuyerInstance.build([("1/3", "2"), ("1/6", "1"), ("1/2", "7/2")])
+        assert inst.to_instance() is inst.to_instance()
+        assert inst.ints is inst.to_instance().ints
+        twin = SingleBuyerInstance.build([("1/3", "2"), ("1/6", "1"), ("1/2", "7/2")])
+        assert twin.to_instance() is not inst.to_instance()
+        assert twin == inst and hash(twin) == hash(inst) and repr(twin) == repr(inst)
+
 
 class TestBuyerUtility:
     def test_pooling_the_two_low_types_extracts_everything(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from disclosure_games import game
+from disclosure_games.acceptance import AUCTION_123, MENU_FOUR_TYPES
 from disclosure_games.core import (
     BuyerType,
     DiscreteInstance,
@@ -26,7 +28,7 @@ from disclosure_games.game import (
     search_profiles,
     search_to_csv,
 )
-from disclosure_games.hardness import reduce_to_buyer_opt, sweep_size_lists
+from disclosure_games.hardness import PartitionProblem, reduce_to_buyer_opt, sweep_size_lists
 from disclosure_games.lpmech import joint_prob, joint_types, solve_instance, verify_mechanism
 
 F = Fraction
@@ -277,6 +279,39 @@ class TestSearch:
         assert lines[0] == "profile,revenue,u1,u2,total_surplus,always_all_sold,efficient"
         assert lines[1].endswith("false,false")
         assert '"[[[1,2,3]],[[1,2,3]]]"' in lines[1]
+
+
+class TestSearchAgainstEvaluate:
+    """``search_profiles`` scores the profiles it generates without the
+    checks ``evaluate`` runs; each of its rows must still read exactly what
+    the public, validating ``evaluate`` returns for that profile."""
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            AUCTION_123,
+            MENU_FOUR_TYPES,
+            TWO_BUYERS_123,
+            *(
+                reduce_to_buyer_opt(PartitionProblem(sizes)).instance.to_instance()
+                for sizes in ((1, 1), (1, 2, 3), (2, 2, 4))
+            ),
+        ],
+        ids=[
+            "auction-123", "menu-four-types", "two-buyers-123",
+            "red-1-1", "red-1-2-3", "red-2-2-4",
+        ],
+    )
+    @pytest.mark.parametrize("connected_only", [False, True])
+    def test_every_row_is_what_evaluate_returns(self, inst, connected_only):
+        evaluator = GameEvaluator(inst)
+        for profile, outcome in search_profiles(inst, connected_only):
+            want = evaluator.evaluate(profile)
+            assert outcome.profile == profile
+            for f in dataclasses.fields(outcome):
+                if f.compare:
+                    got, expected = getattr(outcome, f.name), getattr(want, f.name)
+                    assert got == expected and type(got) is type(expected), (profile, f.name)
 
 
 class TestRareLowsRegression:

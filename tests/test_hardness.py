@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from disclosure_games import hardness
 from disclosure_games.core import GuardExceeded, ValidationError
 from disclosure_games.hardness import (
     PartitionProblem,
@@ -94,6 +95,39 @@ class TestVerifyReduction:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             verify_reduction(PartitionProblem((2,) * 9))
+
+
+class TestVerifyReductionCanFail:
+    """Each witness check in ``verify_reduction`` says no on its own: the
+    search and the subset brute force still agree, and only the pooled
+    message's best response is replaced."""
+
+    PROBLEM = PartitionProblem((2, 2, 4))
+
+    def patch_pooled_response(self, monkeypatch, respond):
+        real = hardness.buyer_utility
+        monkeypatch.setattr(
+            hardness, "buyer_utility", lambda inst, msg: respond(*real(inst, msg))
+        )
+
+    def test_pooled_price_other_than_half_the_total(self, monkeypatch):
+        self.patch_pooled_response(monkeypatch, lambda mass, price: (mass, price + F(1, 1000)))
+        report = verify_reduction(self.PROBLEM)
+        assert report.pooled_price == 4 + F(1, 1000)
+        assert report.witness_surplus >= report.reduced.target
+        assert report.equivalent is False
+
+    def test_witness_mass_below_the_target(self, monkeypatch):
+        target = reduce_to_buyer_opt(self.PROBLEM).target
+        self.patch_pooled_response(monkeypatch, lambda mass, price: (target - F(1, 10**9), price))
+        report = verify_reduction(self.PROBLEM)
+        assert report.pooled_price == 4
+        assert report.equivalent is False
+
+    def test_witness_mass_at_the_target_passes(self, monkeypatch):
+        target = reduce_to_buyer_opt(self.PROBLEM).target
+        self.patch_pooled_response(monkeypatch, lambda mass, price: (target, price))
+        assert verify_reduction(self.PROBLEM).equivalent is True
 
 
 class TestSweep:
