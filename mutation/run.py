@@ -67,10 +67,17 @@ MUTANTS = (
     ),
     Mutant(
         "src/disclosure_games/game.py",
-        "-pr[1].total_surplus.numerator * (scale // pr[1].total_surplus.denominator),",
-        "pr[1].total_surplus.numerator * (scale // pr[1].total_surplus.denominator),",
+        "return evaluator, [((-t, p), s) for t, p, s in zip(totals, profiles, sums)]",
+        "return evaluator, [((t, p), s) for t, p, s in zip(totals, profiles, sums)]",
         "tests/test_game.py::TestSearch::test_no_disclosure_ranks_strictly_first",
         "search_profiles ranks the worst surplus first",
+    ),
+    Mutant(
+        "src/disclosure_games/game.py",
+        "key, sums = min(rows, key=itemgetter(0))",
+        "key, sums = max(rows, key=itemgetter(0))",
+        "tests/test_game.py::TestSearchBest::test_is_the_first_ranked_row",
+        "search_best reads the last ranked row",
     ),
     Mutant(
         "src/disclosure_games/simplex.py",
@@ -132,6 +139,28 @@ MUTANTS = (
         "if False:",
         "tests/test_hardness.py::TestVerifyReductionCanFail::test_witness_mass_below_the_target",
         "verify_reduction accepts a witness below the target",
+    ),
+    # size guards: a size equal to the guard still runs
+    Mutant(
+        "src/disclosure_games/hardness.py",
+        "if len(pp.sizes) > VERIFY_GUARD:",
+        "if len(pp.sizes) >= VERIFY_GUARD:",
+        "tests/test_hardness.py::TestGuardBoundaries::test_verify_guard",
+        "verify_reduction refuses m equal to its guard",
+    ),
+    Mutant(
+        "src/disclosure_games/hardness.py",
+        "if m > SUBSET_GUARD:",
+        "if m >= SUBSET_GUARD:",
+        "tests/test_hardness.py::TestGuardBoundaries::test_subset_guard",
+        "solve_partition_bruteforce refuses m equal to its guard",
+    ),
+    Mutant(
+        "src/disclosure_games/dpconnected.py",
+        "if n > BRUTE_FORCE_GUARD:",
+        "if n >= BRUTE_FORCE_GUARD:",
+        "tests/test_dpconnected.py::TestBruteForceOracle::test_guard_admits_n_equal_to_it",
+        "brute_force_connected refuses n equal to its guard",
     ),
 )
 

@@ -504,8 +504,5 @@ class IntervalPartition:
                 return (lo, hi)
         raise AssertionError("unreachable: blocks cover [0, 1]")
 
-    def __str__(self) -> str:
-        return ",".join(format_rational(t) for t in self.breakpoints)
-
 
 SILENT = IntervalPartition((Fraction(0), Fraction(1)))

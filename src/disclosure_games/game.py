@@ -15,9 +15,8 @@ price, since scaling every candidate's revenue and utility by the mass
 keeps their order.  On the instance's int form (``DiscreteInstance.ints``:
 values over V, probabilities over W) these entries are int numerators:
 the mass over W, revenue and utility over V W.  A profile sums them as
-ints and builds its three ``Fraction``s at the end, and
-``search_profiles`` ranks on int numerators over the lcm of the totals'
-denominators.  Every other instance conditions on the messages and
+ints, and its three ``Fraction``s are built only with its
+``GameOutcome``.  Every other instance conditions on the messages and
 solves the exact LP (``lpmech.solve_instance``).  ``GameOutcome``'s
 ``per_message`` solutions are built on first read; a directly priced
 message then goes through ``solve_instance`` like the rest.
@@ -25,9 +24,13 @@ message then goes through ``solve_instance`` like the rest.
 Message tuples repeat across profiles, so an evaluator instance caches
 its entries; a full search over an instance touches each distinct
 message tuple once.  ``GameEvaluator.evaluate`` checks and canonicalises
-the profile it is given, then scores it; ``search_profiles`` generates
-canonical profiles itself and scores them directly, through the same
-scoring loop, without the check.
+the profile it is given, then scores it.  A search generates canonical
+profiles itself and scores each one once, through the same scoring loop,
+without the check; it ranks them on (-total surplus, profile) with the
+total an exact int (over V W on the posted-price path, over the lcm of
+the ``Fraction`` totals' denominators on the LP path), and builds a
+``GameOutcome`` only for a row that is read: ``search_profiles`` builds
+every row, ``search_best`` the best one alone.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .core import (
@@ -177,28 +181,38 @@ class GameEvaluator:
                 raise ValidationError(
                     f"buyer {j}: a partition must be a sequence of messages, got {part!r}"
                 )
-        return self._score(
-            tuple(validate_partition(part, inst.n_types(j)) for j, part in enumerate(profile))
+        profile = tuple(
+            validate_partition(part, inst.n_types(j)) for j, part in enumerate(profile)
         )
+        return self._outcome(profile, self._sums(profile))
 
-    def _score(self, profile: tuple[SetPartition, ...]) -> GameOutcome:
-        """Score a profile already in canonical form, one partition per buyer, unchecked."""
+    def _sums(self, profile: tuple[SetPartition, ...]) -> tuple:
+        """A canonical profile's sums over its messages, unchecked and over
+        ``_scale``: (revenue, each buyer's utility, total surplus, all sold,
+        efficient)."""
+        # the inline get saves a call per cached message: this loop is a search's hot path
+        cache, solve = self._cache, self._solve_messages
         revenue = 0
-        per_buyer = [0] * self.instance.n_buyers
+        per_buyer = [0] * len(profile)
         always_all_sold = True
         efficient = True
         for messages in itertools.product(*profile):
-            _, _, rev, utilities, sold, eff = self._solve_messages(messages)
+            _, _, rev, utilities, sold, eff = cache.get(messages) or solve(messages)
             revenue += rev
             for j, u in enumerate(utilities):
                 per_buyer[j] += u
             always_all_sold &= sold
             efficient &= eff
+        return revenue, per_buyer, sum(per_buyer), always_all_sold, efficient
+
+    def _outcome(self, profile: tuple[SetPartition, ...], sums: tuple) -> GameOutcome:
+        """The ``GameOutcome`` of a profile and its ``_sums``."""
+        revenue, per_buyer, total, always_all_sold, efficient = sums
         scale = self._scale
         return GameOutcome(
             expected_revenue=Fraction(revenue, scale),
             per_buyer_utility=tuple(Fraction(u, scale) for u in per_buyer),
-            total_surplus=Fraction(sum(per_buyer), scale),
+            total_surplus=Fraction(total, scale),
             always_all_sold=always_all_sold,
             efficient=efficient,
             profile=profile,
@@ -234,15 +248,20 @@ def connected_partitions(inst: DiscreteInstance, j: int) -> list[SetPartition]:
     ]
 
 
-def search_profiles(
-    inst: DiscreteInstance, connected_only: bool = False
-) -> list[tuple[tuple[SetPartition, ...], GameOutcome]]:
-    """Evaluate every partition profile, best buyer surplus first.
+def _ranking(
+    inst: DiscreteInstance, connected_only: bool
+) -> tuple[GameEvaluator, list[tuple[tuple, tuple]]]:
+    """Score every partition profile once and key it for ranking.
 
-    Exact-rational surplus ties are broken toward the canonically smaller
-    profile, so rankings are reproducible.  The profile count, a product of
-    Bell numbers (2^(n-1) per buyer when ``connected_only``), is checked
-    against ``SEARCH_GUARD`` before any partition is listed.
+    Returns the evaluator and one (key, sums) row per profile, unordered.
+    The key is (-total surplus, profile) with the total an exact int, so
+    the best surplus comes first and exact ties go to the canonically
+    smaller profile: a total order, whatever order the profiles were
+    generated in.  Posted-price totals are already ints over the
+    evaluator's scale; LP totals are ``Fraction``s, brought to int
+    numerators over the lcm of their denominators.  The profile count, a
+    product of Bell numbers (2^(n-1) per buyer when ``connected_only``), is
+    checked against ``SEARCH_GUARD`` before any partition is listed.
     """
     count = 1
     for j in range(inst.n_buyers):
@@ -255,20 +274,37 @@ def search_profiles(
         for j in range(inst.n_buyers)
     ]
     evaluator = GameEvaluator(inst)
-    results = [
-        (profile, evaluator._score(profile))
-        for profile in itertools.product(*per_buyer)
-    ]
-    # Rank on the totals as int numerators over their lcm: the scale is
-    # positive and every key exact, so the order is the Fractions' order.
-    scale = lcm(*(outcome.total_surplus.denominator for _, outcome in results))
-    results.sort(
-        key=lambda pr: (
-            -pr[1].total_surplus.numerator * (scale // pr[1].total_surplus.denominator),
-            pr[0],
-        )
-    )
-    return results
+    profiles = list(itertools.product(*per_buyer))
+    sums = [evaluator._sums(profile) for profile in profiles]
+    totals = [s[2] for s in sums]
+    if evaluator._form is None:
+        scale = lcm(*(t.denominator for t in totals))
+        totals = [t.numerator * (scale // t.denominator) for t in totals]
+    return evaluator, [((-t, p), s) for t, p, s in zip(totals, profiles, sums)]
+
+
+def search_profiles(
+    inst: DiscreteInstance, connected_only: bool = False
+) -> list[tuple[tuple[SetPartition, ...], GameOutcome]]:
+    """Evaluate every partition profile, best buyer surplus first.
+
+    Exact surplus ties are broken toward the canonically smaller profile,
+    so rankings are reproducible (see ``_ranking``, which also checks
+    ``SEARCH_GUARD``).  Every row's ``GameOutcome`` is built; a caller that
+    reads only the best row should call ``search_best``.
+    """
+    evaluator, rows = _ranking(inst, connected_only)
+    rows.sort(key=itemgetter(0))
+    return [(key[1], evaluator._outcome(key[1], sums)) for key, sums in rows]
+
+
+def search_best(
+    inst: DiscreteInstance, connected_only: bool = False
+) -> tuple[tuple[SetPartition, ...], GameOutcome]:
+    """``search_profiles(inst, connected_only)[0]``, building one ``GameOutcome``."""
+    evaluator, rows = _ranking(inst, connected_only)
+    key, sums = min(rows, key=itemgetter(0))
+    return key[1], evaluator._outcome(key[1], sums)
 
 
 def search_to_csv(results: Sequence[tuple[tuple[SetPartition, ...], GameOutcome]]) -> str:

@@ -374,8 +374,13 @@ class TestDpAndReduction:
     def test_verify_reduction_unsolvable(self, capsys):
         code, out, _ = run(capsys, "verify-reduction", "--sizes", "3,5")
         assert code == 0
-        assert "even split: none" in out
-        assert "best disclosure surplus: 19/20" in out
+        assert out == (
+            "# disclosure-games verify-reduction --sizes 3,5\n"
+            "sizes [3, 5], target 5/4 (~1.25)\n"
+            "even split: none\n"
+            "best disclosure surplus: 19/20 (~0.95)\n"
+            "equivalence: surplus target reached exactly when an even split exists\n"
+        )
 
     def test_odd_total_exit_1(self, capsys):
         code, _, err = run(capsys, "reduce", "--sizes", "1,2")

@@ -202,6 +202,13 @@ class TestBruteForceOracle:
         with pytest.raises(GuardExceeded, match=f"compositions of {inst.n} types is over the guard"):
             brute_force_connected(inst)
 
+    def test_guard_admits_n_equal_to_it(self, monkeypatch):
+        monkeypatch.setattr(dpconnected, "BRUTE_FORCE_GUARD", GAP_HALF.n)
+        assert brute_force_connected(GAP_HALF)[1] == F(1, 18)
+        four = SingleBuyerInstance((F(1), F(2), F(3), F(4)), (F(1, 4),) * 4)
+        with pytest.raises(GuardExceeded, match="8 compositions of 4 types is over the guard"):
+            brute_force_connected(four)
+
     def test_matches_dp_on_random_instances(self):
         rng = random.Random(20240601)
         for _ in range(200):

@@ -25,6 +25,7 @@ from disclosure_games.game import (
     rare_lows_regression,
     full_disclosure_profile,
     no_disclosure_profile,
+    search_best,
     search_profiles,
     search_to_csv,
 )
@@ -271,6 +272,20 @@ class TestSearch:
         with pytest.raises(GuardExceeded, match=f"would evaluate {count} > 1000000 profiles"):
             search_profiles(inst, connected_only)
 
+    @pytest.mark.parametrize("connected_only", [False, True])
+    def test_search_best_checks_the_guard_first(self, monkeypatch, connected_only):
+        def refuse(*args, **kwargs):
+            raise AssertionError("partitions listed before the guard")
+
+        monkeypatch.setattr(game, "SEARCH_GUARD", 15)
+        monkeypatch.setattr(game, "enumerate_set_partitions", refuse)
+        monkeypatch.setattr(game, "connected_partitions", refuse)
+        with pytest.raises(GuardExceeded, match=r"would evaluate \d+ > 15 profiles"):
+            search_best(TWO_BUYERS_123, connected_only)
+
+    def test_csv_of_no_rows_is_the_header(self):
+        assert search_to_csv([]) == "profile,revenue,total_surplus,always_all_sold,efficient\n"
+
     def test_csv_round_trip_shape(self):
         results = search_profiles(TWO_BUYERS_123)
         text = search_to_csv(results)
@@ -308,6 +323,28 @@ class TestSearchAgainstEvaluate:
         for profile, outcome in search_profiles(inst, connected_only):
             want = evaluator.evaluate(profile)
             assert outcome.profile == profile
+            for f in dataclasses.fields(outcome):
+                if f.compare:
+                    got, expected = getattr(outcome, f.name), getattr(want, f.name)
+                    assert got == expected and type(got) is type(expected), (profile, f.name)
+
+
+class TestSearchBest:
+    """``search_best`` builds the outcome of one row only; it must be the
+    first row of ``search_profiles``, field by field and type by type."""
+
+    @pytest.mark.parametrize("connected_only", [False, True])
+    def test_is_the_first_ranked_row(self, connected_only):
+        instances = [AUCTION_123, MENU_FOUR_TYPES, TWO_BUYERS_123]
+        instances += [
+            reduce_to_buyer_opt(pp).instance.to_instance() for pp in sweep_size_lists(4, 6)
+        ]
+        assert len(instances) == 3 + 109
+        for inst in instances:
+            profile, outcome = search_best(inst, connected_only)
+            want_profile, want = search_profiles(inst, connected_only)[0]
+            assert profile == want_profile == outcome.profile
+            assert all(type(u) is F for u in outcome.per_buyer_utility)
             for f in dataclasses.fields(outcome):
                 if f.compare:
                     got, expected = getattr(outcome, f.name), getattr(want, f.name)

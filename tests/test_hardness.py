@@ -97,6 +97,23 @@ class TestVerifyReduction:
             verify_reduction(PartitionProblem((2,) * 9))
 
 
+class TestGuardBoundaries:
+    """Each size guard admits a size equal to it and refuses one more,
+    with the constant patched small so that both sides run fast."""
+
+    def test_subset_guard(self, monkeypatch):
+        monkeypatch.setattr(hardness, "SUBSET_GUARD", 3)
+        assert solve_partition_bruteforce(PartitionProblem((1, 1, 2))) == (0, 1)
+        with pytest.raises(GuardExceeded, match="2\\^4 subsets is over the guard of 2\\^3"):
+            solve_partition_bruteforce(PartitionProblem((1, 1, 1, 1)))
+
+    def test_verify_guard(self, monkeypatch):
+        monkeypatch.setattr(hardness, "VERIFY_GUARD", 2)
+        assert verify_reduction(PartitionProblem((1, 1))).equivalent
+        with pytest.raises(GuardExceeded, match="partitions of 4 types; refusing m > 2"):
+            verify_reduction(PartitionProblem((1, 1, 2)))
+
+
 class TestVerifyReductionCanFail:
     """Each witness check in ``verify_reduction`` says no on its own: the
     search and the subset brute force still agree, and only the pooled
