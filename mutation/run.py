@@ -67,17 +67,39 @@ MUTANTS = (
     ),
     Mutant(
         "src/disclosure_games/game.py",
-        "return evaluator, [((-t, p), s) for t, p, s in zip(totals, profiles, sums)]",
-        "return evaluator, [((t, p), s) for t, p, s in zip(totals, profiles, sums)]",
+        "return [((-t, p), s) for t, p, s in scored]",
+        "return [((t, p), s) for t, p, s in scored]",
         "tests/test_game.py::TestSearch::test_no_disclosure_ranks_strictly_first",
         "search_profiles ranks the worst surplus first",
     ),
     Mutant(
         "src/disclosure_games/game.py",
-        "key, sums = min(rows, key=itemgetter(0))",
-        "key, sums = max(rows, key=itemgetter(0))",
+        "key, sums = min(_ranking(evaluator, connected_only), key=itemgetter(0))",
+        "key, sums = max(_ranking(evaluator, connected_only), key=itemgetter(0))",
         "tests/test_game.py::TestSearchBest::test_is_the_first_ranked_row",
         "search_best reads the last ranked row",
+    ),
+    Mutant(
+        "src/disclosure_games/game.py",
+        "profile = min(map(evaluator._profile, tied))",
+        "profile = max(map(evaluator._profile, tied))",
+        "tests/test_game.py::TestSearchBest::test_is_the_first_ranked_row",
+        "search_best breaks a posted-price surplus tie toward the larger profile",
+    ),
+    # the posted-price block memo and the running partition totals
+    Mutant(
+        "src/disclosure_games/game.py",
+        "mass += weight",
+        "mass += 0",
+        "tests/test_game.py::TestPostedPriceEntries::test_memo_is_best_posted_price_on_every_block",
+        "a block mass without the new type's weight",
+    ),
+    Mutant(
+        "src/disclosure_games/core.py",
+        "(masks[:k] + (m | bit,) + masks[k + 1 :], total + score[m | bit] - score[m])",
+        "(masks[:k] + (m | bit,) + masks[k + 1 :], total + score[m | bit])",
+        "tests/test_core.py::TestSetPartitions::test_mask_totals_are_block_score_sums",
+        "a running total that adds u(b | t) without taking off u(b)",
     ),
     Mutant(
         "src/disclosure_games/simplex.py",

@@ -310,37 +310,77 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
+def _join(level, bit: int, score: Sequence[int]):
+    """Every way to add the element ``bit`` to each (block masks, total) of
+    ``level``: into each block in turn, then as a block of its own (the
+    appended 0 mask).  The total moves by score[b | bit] - score[b]."""
+    return (
+        (masks[:k] + (m | bit,) + masks[k + 1 :], total + score[m | bit] - score[m])
+        for masks, total in level
+        for k, m in enumerate(masks + (0,))
+    )
+
+
+def set_partition_masks(
+    bits: Sequence[int], score: Sequence[int] | None = None
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every set partition of the elements with the given distinct one-bit
+    masks, as an iterator of (block masks, total) in canonical order.
+
+    A block is the OR of its elements' bits, and blocks come in the order
+    their least element appears in ``bits``.  ``total`` is the sum of
+    ``score[b]`` over the blocks b, for a table indexed by mask with
+    ``score[0] == 0`` (all zero when omitted); it is kept while each
+    partition is built, so placing an element costs one step.  Canonical
+    order: element k goes into each block made by elements 0..k-1 in turn,
+    then into a block of its own, and earlier elements vary slowest.  The
+    partitions of the first k elements are built as a list from those of
+    k - 1, on the call, and the last element's are made as the iterator is
+    read, so at most the partitions of len(bits) - 1 elements are held.
+    Guarded like ``enumerate_set_partitions``, on the call; no elements
+    have one partition, the empty one.
+    """
+    if len(bits) > SET_PARTITION_GUARD:
+        raise GuardExceeded(
+            f"refusing to enumerate set partitions of {len(bits)} > {SET_PARTITION_GUARD} elements"
+        )
+    if score is None:
+        score = bytes(sum(bits) + 1)
+    level = [((), 0)]
+    for bit in bits[:-1]:
+        level = list(_join(level, bit, score))
+    return _join(level, bits[-1], score) if bits else iter(level)
+
+
+def mask_members(bits: Sequence[int]) -> list[tuple[int, ...]]:
+    """For each mask over the given distinct one-bit masks, the sorted
+    positions in ``bits`` of the elements it holds, indexed by mask."""
+    members = [()] * (sum(bits) + 1)
+    filled = [0]
+    for i, bit in enumerate(bits):
+        for m in filled[:]:
+            members[m | bit] = members[m] + (i,)
+            filled.append(m | bit)
+    return members
+
+
 def enumerate_set_partitions(n: int) -> Iterator[SetPartition]:
     """Yield every set partition of {0..n-1} in canonical order.
 
     Canonical order: partitions generated by assigning each element either
     to an existing block or to a fresh one, blocks kept sorted by least
-    element.  Guarded because the count is the Bell number (B(12) is about
+    element.  This is the tuple view of ``set_partition_masks`` with
+    element i on bit i, each block read from a table of every mask's
+    members.  Guarded because the count is the Bell number (B(12) is about
     4.2 million; anything beyond that is a mistake, not a workload).  n = 0
     has one partition, the empty one.
     """
     _require_size(n)
-    if n > SET_PARTITION_GUARD:
-        raise GuardExceeded(
-            f"refusing to enumerate set partitions of {n} > {SET_PARTITION_GUARD} elements"
-        )
-    if n == 0:
-        yield ()
-        return
-
-    def rec(i: int, blocks: list[list[int]]) -> Iterator[SetPartition]:
-        if i == n:
-            yield tuple(tuple(b) for b in blocks)
-            return
-        for b in blocks:
-            b.append(i)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        blocks.append([i])
-        yield from rec(i + 1, blocks)
-        blocks.pop()
-
-    yield from rec(1, [[0]])
+    bits = [1 << i for i in range(n)]
+    partitions = set_partition_masks(bits)  # checks the guard before any table is built
+    members = mask_members(bits).__getitem__
+    for masks, _ in partitions:
+        yield tuple(map(members, masks))
 
 
 def compositions(n: int) -> Iterator[SetPartition]:

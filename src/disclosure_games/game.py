@@ -9,13 +9,14 @@ messages, aggregated with exact block probabilities, and searches all
 partition profiles for the buyer-optimal one.
 
 With one buyer and one good, a message's entry comes straight from the
-prior: ``lpmech.best_posted_price`` on the message's unnormalised weights
-returns its mass times the conditioned revenue and utility, at the same
-price, since scaling every candidate's revenue and utility by the mass
-keeps their order.  On the instance's int form (``DiscreteInstance.ints``:
-values over V, probabilities over W) these entries are int numerators:
-the mass over W, revenue and utility over V W.  A profile sums them as
-ints, and its three ``Fraction``s are built only with its
+prior, on the instance's int form (``DiscreteInstance.ints``: values over
+V, probabilities over W): its mass times the conditioned revenue and
+utility at the seller's best posted price.  Each type holds one bit, by
+value rank, and the evaluator prices each block mask in one step from the
+block without its lowest-valued type (``GameEvaluator._block``),
+memoising it for ``evaluate`` and both searches.  Entries are int
+numerators, the mass over W and revenue and utility over V W; a profile
+sums them as ints, and its three ``Fraction``s are built only with its
 ``GameOutcome``.  Every other instance conditions on the messages and
 solves the exact LP (``lpmech.solve_instance``).  ``GameOutcome``'s
 ``per_message`` solutions are built on first read; a directly priced
@@ -24,13 +25,18 @@ message then goes through ``solve_instance`` like the rest.
 Message tuples repeat across profiles, so an evaluator instance caches
 its entries; a full search over an instance touches each distinct
 message tuple once.  ``GameEvaluator.evaluate`` checks and canonicalises
-the profile it is given, then scores it.  A search generates canonical
-profiles itself and scores each one once, through the same scoring loop,
-without the check; it ranks them on (-total surplus, profile) with the
-total an exact int (over V W on the posted-price path, over the lcm of
-the ``Fraction`` totals' denominators on the LP path), and builds a
+the profile it is given, then scores it.  A search ranks every profile on
+(-total surplus, profile) with the total an exact int, and builds a
 ``GameOutcome`` only for a row that is read: ``search_profiles`` builds
-every row, ``search_best`` the best one alone.
+every row, ``search_best`` the best one alone.  On the posted-price path
+a full search prices all 2^n - 1 blocks, one step each, then walks the
+set partitions as tuples of block masks (``core.set_partition_masks``),
+each total an int over V W kept while its partition is built; it builds
+canonical profiles only for rows it reads, and ``search_best`` keeps only
+the masks tied at the best total.  On the LP path a search generates
+canonical profiles and scores each one once through the scoring loop of
+``evaluate``, without its check, and ranks on int numerators over the lcm
+of the ``Fraction`` totals' denominators.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     DiscreteInstance,
@@ -56,10 +62,12 @@ from .core import (
     enumerate_set_partitions,
     format_rational,
     is_sequence,
+    mask_members,
     require_good,
+    set_partition_masks,
     validate_partition,
 )
-from .lpmech import LPSolution, best_posted_price, joint_types, solve_instance
+from .lpmech import LPSolution, joint_types, solve_instance
 
 SEARCH_GUARD = 10**6
 
@@ -132,13 +140,29 @@ class GameEvaluator:
         self._form = inst.ints if inst.n_buyers == 1 and inst.goods == 1 else None
         self._w_scale = self._form.w_scales[0] if self._form else 1
         self._scale = self._form.v_scale * self._w_scale if self._form else 1
+        if self._form is not None:
+            # bit r is the type of r-th lowest value, so a block's lowest-valued
+            # type is its mask's lowest set bit
+            order, values, probs = self._form.orders[0], self._form.values[0], self._form.probs[0]
+            self._ranked = [(values[i][0], probs[i]) for i in order]
+            self._bits = [0] * len(order)
+            for r, i in enumerate(order):
+                self._bits[i] = 1 << r
+            # block mask -> (mass over W, value-weighted mass over V W, best
+            # (revenue, utility, price) or None for the empty block)
+            self._blocks: dict[int, tuple] = {0: (0, 0, None)}
 
     def _solve_messages(self, messages: tuple[tuple[int, ...], ...]):
         hit = self._cache.get(messages)
         if hit is not None:
             return hit
         if self._form is not None:
-            entry = self._posted_price_entry(messages[0])
+            # With one buyer every sale goes to the only bidder, so "efficient"
+            # is "all sold": the price is the block's lowest value.
+            mask = sum(map(self._bits.__getitem__, messages[0]))
+            mass, _, (revenue, utility, price) = self._block(mask)
+            sold = revenue > 0 and price == self._ranked[(mask & -mask).bit_length() - 1][0]
+            entry = (mass, None, revenue, (utility,), sold, sold)
         else:
             cond = condition_on_messages(self.instance, messages)
             prob = Fraction(1)
@@ -150,17 +174,48 @@ class GameEvaluator:
         self._cache[messages] = entry
         return entry
 
-    def _posted_price_entry(self, block: tuple[int, ...]) -> tuple:
-        # On the unnormalised int weights the pass returns mass * revenue
-        # and mass * utility at the conditioned price, over V W.  With one
-        # buyer every sale goes to the only bidder, so "efficient" is "all
-        # sold".
-        form = self._form
-        values, probs = form.values[0], form.probs[0]
-        pairs = [(values[i][0], probs[i]) for i in reversed(form.orders[0]) if i in block]
-        revenue, utility, price = best_posted_price(pairs)
-        sold = revenue > 0 and pairs[-1][0] >= price
-        return (sum(w for _, w in pairs), None, revenue, (utility,), sold, sold)
+    def _block(self, mask: int) -> tuple[int, int, tuple[int, int, int]]:
+        """A one-buyer, one-good block's (mass, value-weighted mass, best
+        (revenue, utility, price)), memoised by mask over ``_bits``.
+
+        The block without its lowest-valued type t, B' = B & (B - 1), has
+        the same mass at or above every higher price, so adding t adds one
+        candidate, v_t, at the block's whole mass M: best(B) is the larger
+        of best(B') and (v_t M, S - v_t M, v_t), with S the value-weighted
+        mass.  That is ``lpmech.best_posted_price``'s running maximum over
+        the block's pairs (a revenue tie goes to the lower price), so one
+        step prices a block whose B' is memoised.  Ints over W, V W and V.
+        """
+        blocks = self._blocks
+        chain = []
+        rest = mask
+        while rest not in blocks:
+            chain.append(rest)
+            rest &= rest - 1
+        self._price(reversed(chain))
+        return blocks[mask]
+
+    def _price(self, masks: Iterable[int]) -> None:
+        """Memoise each block in ``masks``, in order, in one step each: a
+        block's B' must be memoised already or come earlier in ``masks``."""
+        blocks, ranked = self._blocks, self._ranked
+        for mask in masks:
+            low = mask & -mask
+            value, weight = ranked[low.bit_length() - 1]
+            mass, weighted, best = blocks[mask ^ low]
+            mass += weight
+            weighted += weight * value
+            candidate = (value * mass, weighted - value * mass, value)
+            blocks[mask] = (mass, weighted, candidate if best is None or candidate > best else best)
+
+    @cached_property
+    def _members(self) -> list[tuple[int, ...]]:
+        """Each block mask's sorted type indices, indexed by mask."""
+        return mask_members(self._bits)
+
+    def _profile(self, masks: tuple[int, ...]) -> tuple[SetPartition, ...]:
+        """The canonical one-buyer profile of a partition given as block masks."""
+        return (tuple(sorted(map(self._members.__getitem__, masks))),)
 
     def _solution(self, messages: tuple[tuple[int, ...], ...]) -> tuple[Fraction, LPSolution]:
         """A message tuple's probability and conditioned solution."""
@@ -205,9 +260,9 @@ class GameEvaluator:
             efficient &= eff
         return revenue, per_buyer, sum(per_buyer), always_all_sold, efficient
 
-    def _outcome(self, profile: tuple[SetPartition, ...], sums: tuple) -> GameOutcome:
-        """The ``GameOutcome`` of a profile and its ``_sums``."""
-        revenue, per_buyer, total, always_all_sold, efficient = sums
+    def _outcome(self, profile: tuple[SetPartition, ...], sums: tuple | None = None) -> GameOutcome:
+        """The ``GameOutcome`` of a profile and its ``_sums``, summed here when not given."""
+        revenue, per_buyer, total, always_all_sold, efficient = sums or self._sums(profile)
         scale = self._scale
         return GameOutcome(
             expected_revenue=Fraction(revenue, scale),
@@ -248,39 +303,72 @@ def connected_partitions(inst: DiscreteInstance, j: int) -> list[SetPartition]:
     ]
 
 
-def _ranking(
-    inst: DiscreteInstance, connected_only: bool
-) -> tuple[GameEvaluator, list[tuple[tuple, tuple]]]:
-    """Score every partition profile once and key it for ranking.
-
-    Returns the evaluator and one (key, sums) row per profile, unordered.
-    The key is (-total surplus, profile) with the total an exact int, so
-    the best surplus comes first and exact ties go to the canonically
-    smaller profile: a total order, whatever order the profiles were
-    generated in.  Posted-price totals are already ints over the
-    evaluator's scale; LP totals are ``Fraction``s, brought to int
-    numerators over the lcm of their denominators.  The profile count, a
+def _search_evaluator(inst: DiscreteInstance, connected_only: bool) -> GameEvaluator:
+    """A fresh evaluator for a profile search, after the profile count, a
     product of Bell numbers (2^(n-1) per buyer when ``connected_only``), is
-    checked against ``SEARCH_GUARD`` before any partition is listed.
-    """
+    checked against ``SEARCH_GUARD``: before any partition is listed."""
     count = 1
     for j in range(inst.n_buyers):
         n = inst.n_types(j)
         count *= 2 ** (n - 1) if connected_only else bell_number(n)
     if count > SEARCH_GUARD:
         raise GuardExceeded(f"profile search would evaluate {count} > {SEARCH_GUARD} profiles")
-    per_buyer = [
-        connected_partitions(inst, j) if connected_only else enumerate_set_partitions(inst.n_types(j))
-        for j in range(inst.n_buyers)
-    ]
-    evaluator = GameEvaluator(inst)
-    profiles = list(itertools.product(*per_buyer))
-    sums = [evaluator._sums(profile) for profile in profiles]
-    totals = [s[2] for s in sums]
-    if evaluator._form is None:
+    return GameEvaluator(inst)
+
+
+def _posted_price_totals(
+    evaluator: GameEvaluator, connected_only: bool
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every one-buyer, one-good profile as (block masks, total surplus),
+    the total an int over the evaluator's scale.
+
+    Every block is priced once, in one step: all 2^n - 1 of them up front
+    for a full search, which sums its totals while it builds each partition
+    (``set_partition_masks``), and the connected ones on demand.
+    """
+    if connected_only:
+        bits, block = evaluator._bits, evaluator._block
+        masks_of = (
+            tuple(sum(map(bits.__getitem__, b)) for b in part)
+            for part in connected_partitions(evaluator.instance, 0)
+        )
+        return ((masks, sum(block(m)[2][1] for m in masks)) for masks in masks_of)
+    full = range(1, 1 << evaluator.instance.n_types(0))
+    evaluator._price(full)
+    blocks = evaluator._blocks
+    return set_partition_masks(evaluator._bits, [0] + [blocks[m][2][1] for m in full])
+
+
+def _ranking(evaluator: GameEvaluator, connected_only: bool) -> list[tuple[tuple, tuple | None]]:
+    """Score every partition profile once and key it for ranking.
+
+    Returns one (key, sums) row per profile, unordered.  The key is
+    (-total surplus, profile) with the total an exact int, so the best
+    surplus comes first and exact ties go to the canonically smaller
+    profile: a total order, whatever order the profiles were generated in.
+    Posted-price totals are ints over the evaluator's scale, summed from
+    the block memo, and their sums are left to ``_outcome`` (None); LP
+    totals are ``Fraction``s from ``_sums``, brought to int numerators
+    over the lcm of their denominators.
+    """
+    if evaluator._form is not None:
+        scored = [
+            (total, evaluator._profile(masks), None)
+            for masks, total in _posted_price_totals(evaluator, connected_only)
+        ]
+    else:
+        inst = evaluator.instance
+        per_buyer = [
+            connected_partitions(inst, j) if connected_only
+            else enumerate_set_partitions(inst.n_types(j))
+            for j in range(inst.n_buyers)
+        ]
+        profiles = list(itertools.product(*per_buyer))
+        sums = [evaluator._sums(profile) for profile in profiles]
+        totals = [s[2] for s in sums]
         scale = lcm(*(t.denominator for t in totals))
-        totals = [t.numerator * (scale // t.denominator) for t in totals]
-    return evaluator, [((-t, p), s) for t, p, s in zip(totals, profiles, sums)]
+        scored = zip((t.numerator * (scale // t.denominator) for t in totals), profiles, sums)
+    return [((-t, p), s) for t, p, s in scored]
 
 
 def search_profiles(
@@ -289,11 +377,12 @@ def search_profiles(
     """Evaluate every partition profile, best buyer surplus first.
 
     Exact surplus ties are broken toward the canonically smaller profile,
-    so rankings are reproducible (see ``_ranking``, which also checks
-    ``SEARCH_GUARD``).  Every row's ``GameOutcome`` is built; a caller that
+    so rankings are reproducible (see ``_ranking``; ``SEARCH_GUARD`` is
+    checked first).  Every row's ``GameOutcome`` is built; a caller that
     reads only the best row should call ``search_best``.
     """
-    evaluator, rows = _ranking(inst, connected_only)
+    evaluator = _search_evaluator(inst, connected_only)
+    rows = _ranking(evaluator, connected_only)
     rows.sort(key=itemgetter(0))
     return [(key[1], evaluator._outcome(key[1], sums)) for key, sums in rows]
 
@@ -301,10 +390,24 @@ def search_profiles(
 def search_best(
     inst: DiscreteInstance, connected_only: bool = False
 ) -> tuple[tuple[SetPartition, ...], GameOutcome]:
-    """``search_profiles(inst, connected_only)[0]``, building one ``GameOutcome``."""
-    evaluator, rows = _ranking(inst, connected_only)
-    key, sums = min(rows, key=itemgetter(0))
-    return key[1], evaluator._outcome(key[1], sums)
+    """``search_profiles(inst, connected_only)[0]``, building one ``GameOutcome``.
+
+    On the posted-price path the totals stream past and only the block
+    masks tied at the best total are kept; their canonical profiles are
+    built to break the tie.
+    """
+    evaluator = _search_evaluator(inst, connected_only)
+    if evaluator._form is None:
+        key, sums = min(_ranking(evaluator, connected_only), key=itemgetter(0))
+        return key[1], evaluator._outcome(key[1], sums)
+    best, tied = -1, []  # a total is a sum of utilities, never negative
+    for masks, total in _posted_price_totals(evaluator, connected_only):
+        if total >= best:
+            if total > best:
+                best, tied = total, []
+            tied.append(masks)
+    profile = min(map(evaluator._profile, tied))
+    return profile, evaluator._outcome(profile)
 
 
 def search_to_csv(results: Sequence[tuple[tuple[SetPartition, ...], GameOutcome]]) -> str:

@@ -7,8 +7,13 @@ with a subset I of high types makes the seller price at S/2 exactly when
 I sums to S/2, which leaves the high types in I enough margin to clear
 the target surplus U = S/6 - 1/12; no disclosure scheme reaches U
 otherwise.  The checker runs both brute forces (subset sum and full
-profile search) and compares; the profile search ranks every profile but
-builds the outcome of the best one only (``game.search_best``).
+profile search) and compares.  The profile search (``game.search_best``)
+prices each block of the m+1 types once, in one step from the block
+without its lowest-valued type, ranks every set partition on its int
+total, and builds the outcome of the best one only.  The oracle side, the
+subset search and the pooled witness priced by
+``dpconnected.buyer_utility``, runs none of that code; a tier-1 test
+traces both sides to check it.
 """
 
 from __future__ import annotations

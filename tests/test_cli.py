@@ -431,6 +431,39 @@ class TestGoldenStdout:
             "equivalence: surplus target reached exactly when an even split exists\n"
         )
 
+    def test_verify_reduction_at_the_guard(self, capsys):
+        # m = VERIFY_GUARD = 8: the largest reduction verify-reduction admits,
+        # a search over the 21,147 partitions of 9 types
+        code, out, _ = run(capsys, "verify-reduction", "--sizes", "1,2,3,4,5,6,7,8")
+        assert code == 0
+        assert out == (
+            "# disclosure-games verify-reduction --sizes 1,2,3,4,5,6,7,8\n"
+            "sizes [1, 2, 3, 4, 5, 6, 7, 8], target 71/12 (~5.91667)\n"
+            "even split: [1, 2, 4, 5, 6] against the rest\n"
+            "best disclosure surplus: 2243099/374220 (~5.99406)\n"
+            "pooled witness surplus: 28963/4860 (~5.95947) at price 18\n"
+            "equivalence: surplus target reached exactly when an even split exists\n"
+        )
+
+    def test_zeno_depth_twelve_csv(self, capsys, tmp_path):
+        target = tmp_path / "zeno.csv"
+        code, out, _ = run(capsys, "zeno", "--depth", "12", "--out", str(target))
+        assert code == 0
+        assert out == (
+            f"# disclosure-games zeno --depth 12 --out {target}\n"
+            "cascade depth 12: 13 blocks\n"
+            "buyer A utility: 129024327761/1649267441664 (~0.0782313)\n"
+            "buyer B utility: 129024327761/1649267441664 (~0.0782313)\n"
+            "total surplus: 129024327761/824633720832 (~0.156463)\n"
+            "distance to the symmetric limit 23/147: 66859/13469017440256 (~4.96391e-09)\n"
+            f"wrote {target}\n"
+        )
+        csv = target.read_bytes()
+        assert csv.count(b"\n") == 170
+        assert hashlib.sha256(csv).hexdigest() == (
+            "5bad8df7610f3f208bf5a6656526af0532be70bd7a77ae89d2fcbf374760921a"
+        )
+
     def test_game_eval_one_buyer_pooling(self, capsys, tmp_path):
         # the lone value-0 message is not sold, so good 1 stays unsold there
         path = tmp_path / "one_buyer.json"

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,11 +18,13 @@ from disclosure_games.core import (
     condition_on_messages,
     enumerate_set_partitions,
     format_rational,
+    mask_members,
     parse_instance,
     parse_partition_profile,
     parse_rational,
     serialize_instance,
     serialize_partition_profile,
+    set_partition_masks,
     validate_partition,
 )
 
@@ -196,6 +199,56 @@ class TestSetPartitions:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             list(enumerate_set_partitions(13))
+        with pytest.raises(GuardExceeded, match="13 > 12 elements"):
+            set_partition_masks([1 << i for i in range(13)])
+
+    def test_same_tuples_in_the_same_order_as_the_recursive_generator(self):
+        def recursive(n):
+            # reference: the recursive generator the mask enumerator replaced
+            if n == 0:
+                yield ()
+                return
+
+            def rec(i, blocks):
+                if i == n:
+                    yield tuple(tuple(b) for b in blocks)
+                    return
+                for b in blocks:
+                    b.append(i)
+                    yield from rec(i + 1, blocks)
+                    b.pop()
+                blocks.append([i])
+                yield from rec(i + 1, blocks)
+                blocks.pop()
+
+            yield from rec(1, [[0]])
+
+        for n in range(10):
+            assert list(enumerate_set_partitions(n)) == list(recursive(n)), n
+
+    def test_mask_totals_are_block_score_sums(self):
+        # elements on shuffled bits, a random score per mask: every total is
+        # the sum over its blocks, blocks come in order of their least
+        # element, and the partitions read back are enumerate_set_partitions'
+        rng = random.Random(45)
+        for n in range(7):
+            bits = [1 << r for r in rng.sample(range(n), n)]
+            score = [0] + [rng.randint(-50, 50) for _ in range(1, 2**n)]
+            members = mask_members(bits)
+            got = list(set_partition_masks(bits, score))
+            assert [tuple(members[m] for m in masks) for masks, _ in got] == list(
+                enumerate_set_partitions(n)
+            )
+            for masks, total in got:
+                assert total == sum(score[m] for m in masks)
+            assert all(total == 0 for _, total in set_partition_masks(bits))
+
+    def test_mask_members_lists_each_masks_positions(self):
+        bits = [4, 1, 8, 2]
+        members = mask_members(bits)
+        assert len(members) == 16
+        for mask, held in enumerate(members):
+            assert held == tuple(i for i, bit in enumerate(bits) if mask & bit)
 
     def test_sizes_must_be_nonnegative_integers(self):
         for enumerate_blocks in (enumerate_set_partitions, compositions):

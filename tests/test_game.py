@@ -30,7 +30,13 @@ from disclosure_games.game import (
     search_to_csv,
 )
 from disclosure_games.hardness import PartitionProblem, reduce_to_buyer_opt, sweep_size_lists
-from disclosure_games.lpmech import joint_prob, joint_types, solve_instance, verify_mechanism
+from disclosure_games.lpmech import (
+    best_posted_price,
+    joint_prob,
+    joint_types,
+    solve_instance,
+    verify_mechanism,
+)
 
 F = Fraction
 
@@ -268,6 +274,7 @@ class TestSearch:
             raise AssertionError("partitions listed before the guard")
 
         monkeypatch.setattr(game, "enumerate_set_partitions", refuse)
+        monkeypatch.setattr(game, "set_partition_masks", refuse)
         monkeypatch.setattr(game, "connected_partitions", refuse)
         with pytest.raises(GuardExceeded, match=f"would evaluate {count} > 1000000 profiles"):
             search_profiles(inst, connected_only)
@@ -279,9 +286,13 @@ class TestSearch:
 
         monkeypatch.setattr(game, "SEARCH_GUARD", 15)
         monkeypatch.setattr(game, "enumerate_set_partitions", refuse)
+        monkeypatch.setattr(game, "set_partition_masks", refuse)
         monkeypatch.setattr(game, "connected_partitions", refuse)
-        with pytest.raises(GuardExceeded, match=r"would evaluate \d+ > 15 profiles"):
-            search_best(TWO_BUYERS_123, connected_only)
+        # an LP-path instance, and a one-buyer one on the posted-price path
+        one_buyer = DiscreteInstance.build(1, [[("1/5", [str(i)]) for i in range(5)]])
+        for inst in (TWO_BUYERS_123, one_buyer):
+            with pytest.raises(GuardExceeded, match=r"would evaluate \d+ > 15 profiles"):
+                search_best(inst, connected_only)
 
     def test_csv_of_no_rows_is_the_header(self):
         assert search_to_csv([]) == "profile,revenue,total_surplus,always_all_sold,efficient\n"
@@ -473,6 +484,31 @@ class TestPostedPriceEntries:
                 ties += max(earned) > 0 and earned.count(max(earned)) > 1
                 zero_messages += max(values) == 0
         assert ties and zero_messages
+
+    def test_memo_is_best_posted_price_on_every_block(self):
+        # every block priced two ways, each against best_posted_price on the
+        # block's pairs: on demand, largest block first so that the first
+        # call walks down to the empty block, and in one ascending pass over
+        # all masks as a full search prices them
+        instances = one_buyer_corpus() + [
+            reduce_to_buyer_opt(pp).instance.to_instance() for pp in sweep_size_lists(4, 6)
+        ]
+        assert len(instances) == 43 + 109
+        for inst in instances:
+            form = inst.ints
+            values, probs = form.values[0], form.probs[0]
+            on_demand, ascending = GameEvaluator(inst), GameEvaluator(inst)
+            ascending._price(range(1, 2 ** inst.n_types(0)))
+            for block in reversed(list(every_message(inst))):
+                pairs = [(values[i][0], probs[i]) for i in reversed(form.orders[0]) if i in block]
+                mask = sum(on_demand._bits[i] for i in block)
+                want = (
+                    sum(w for _, w in pairs),
+                    sum(v * w for v, w in pairs),
+                    best_posted_price(pairs),
+                )
+                assert on_demand._block(mask) == ascending._blocks[mask] == want, block
+            assert on_demand._blocks == ascending._blocks
 
     def test_search_neither_conditions_nor_solves(self, monkeypatch):
         inst = one_buyer_corpus()[2]  # a value-0 type and a revenue tie
