@@ -86,13 +86,21 @@ MUTANTS = (
         "tests/test_game.py::TestSearchBest::test_is_the_first_ranked_row",
         "search_best breaks a posted-price surplus tie toward the larger profile",
     ),
-    # the posted-price block memo and the running partition totals
+    # the posted-price block step, the connected DP's tie rule and the running
+    # partition totals
     Mutant(
-        "src/disclosure_games/game.py",
+        "src/disclosure_games/core.py",
         "mass += weight",
         "mass += 0",
         "tests/test_game.py::TestPostedPriceEntries::test_memo_is_best_posted_price_on_every_block",
         "a block mass without the new type's weight",
+    ),
+    Mutant(
+        "src/disclosure_games/dpconnected.py",
+        "if best is None or utility >= best:",
+        "if best is None or utility > best:",
+        "tests/test_dpconnected.py::TestIntegerSearch::test_matches_the_fraction_searches",
+        "the connected DP breaks a tie toward the shortest last block",
     ),
     Mutant(
         "src/disclosure_games/core.py",

@@ -364,6 +364,22 @@ def mask_members(bits: Sequence[int]) -> list[tuple[int, ...]]:
     return members
 
 
+def add_lowest_type(block: tuple, value: int, weight: int) -> tuple[int, int, tuple[int, int, int]]:
+    """A one-buyer, one-good block's (mass, value-weighted mass, best
+    (revenue, utility, price)), (0, 0, None) when empty, with a type of
+    (value, weight) added below all its values.  The block keeps its mass
+    at every higher price, so the type adds one candidate, v at the new
+    mass M: the best is the larger of the old one and (v M, S - v M, v), S
+    the new weighted mass; one step of ``lpmech.best_posted_price``'s
+    running maximum (a revenue tie goes to the lower price).  Ints over W
+    (mass), V (price) and V W (the rest)."""
+    mass, weighted, best = block
+    mass += weight
+    weighted += weight * value
+    candidate = (value * mass, weighted - value * mass, value)
+    return mass, weighted, candidate if best is None or candidate > best else best
+
+
 def enumerate_set_partitions(n: int) -> Iterator[SetPartition]:
     """Yield every set partition of {0..n-1} in canonical order.
 

@@ -7,20 +7,19 @@ of types 1..i extends the best partition of some prefix 1..j by the block
 {j+1..i}.  Utilities are carried as unconditional probability mass, so
 block utilities add without renormalizing.
 
-A ``SingleBuyerInstance`` builds and validates its ``DiscreteInstance``
-once, at construction, and keeps it: ``to_instance()`` returns that
-object, so its int form (``DiscreteInstance.ints``) is derived once.
-Each call scores every connected block once, as int numerators over
-V W, the product of the form's scales.  The DP and the brute force over
-all 2^(n-1) compositions add and compare those ints and build a
-``Fraction`` only for what they return; the brute force keeps its own
-int sum and first-composition tie rule, so it checks the recursion and
-its tie order.  A message's posted price comes from
-``lpmech.best_posted_price`` on the same form, the routine
-``lpmech.solve_instance`` uses for one buyer with one good.
-Tests check ``buyer_utility`` against every candidate price, and check
-that routine against the full mechanism LP on every message of the
-hardness reductions.
+A ``SingleBuyerInstance`` validates its ``DiscreteInstance`` once and
+keeps it, so its int form (``DiscreteInstance.ints``) is derived once.
+Sums are int numerators over V W, the product of the form's scales.  For
+each i the DP walks j down from i - 1 to 0, extending one running block
+{j+1..i} by type j+1 in one ``core.add_lowest_type`` step, the game
+layer's block step: O(n^2) int work, and no block priced by a scan.  The
+brute force over all 2^(n-1) compositions prices each block on its own
+through ``buyer_utility`` (``lpmech.best_posted_price``, the one-buyer,
+one-good route of ``lpmech.solve_instance``) with its own sum and
+first-composition tie rule, so it checks the step, the recursion and the
+tie order; the two share only the instance's size and int form.  Tests
+check ``buyer_utility`` against every candidate price, and the DP table
+by its Bellman inequalities past the brute force's guard.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from .core import (
     IntForm,
     SetPartition,
     ValidationError,
+    add_lowest_type,
     compositions,
     message_indices,
     parse_rational,
@@ -122,18 +122,22 @@ def _block_utilities(inst: SingleBuyerInstance) -> tuple[dict[tuple[int, ...], i
 
 
 def dp_table(inst: SingleBuyerInstance) -> tuple[tuple[Fraction, SetPartition], ...]:
-    """Prefix table: entry i is the best (utility, partition) for types 1..i."""
-    scores, scale = _block_utilities(inst)
-    entries: list[tuple[int, SetPartition]] = [(0, ())]
+    """Prefix table: entry i is the best (utility, partition) for types 1..i;
+    a tie goes to the least start j, so the downward walk takes ``>=``."""
+    form = inst.ints
+    pairs = [(v[0], p) for v, p in zip(form.values[0], form.probs[0])]
+    utilities, partitions = [0], [()]
     for i in range(1, inst.n + 1):
-        best = None
-        for j in range(i):
-            block = tuple(range(j, i))
-            utility = entries[j][0] + scores[block]
-            if best is None or utility > best[0]:
-                best = (utility, entries[j][1] + (block,))
-        entries.append(best)
-    return tuple((Fraction(utility, scale), partition) for utility, partition in entries)
+        block, best = (0, 0, None), None
+        for j in range(i - 1, -1, -1):
+            block = add_lowest_type(block, *pairs[j])
+            utility = utilities[j] + block[2][1]
+            if best is None or utility >= best:
+                best, start = utility, j
+        utilities.append(best)
+        partitions.append(partitions[start] + (tuple(range(start, i)),))
+    scale = form.v_scale * form.w_scales[0]
+    return tuple((Fraction(u, scale), p) for u, p in zip(utilities, partitions))
 
 
 def optimal_connected(inst: SingleBuyerInstance) -> tuple[SetPartition, Fraction]:

@@ -13,7 +13,7 @@ prior, on the instance's int form (``DiscreteInstance.ints``: values over
 V, probabilities over W): its mass times the conditioned revenue and
 utility at the seller's best posted price.  Each type holds one bit, by
 value rank, and the evaluator prices each block mask in one step from the
-block without its lowest-valued type (``GameEvaluator._block``),
+block without its lowest-valued type (``core.add_lowest_type``),
 memoising it for ``evaluate`` and both searches.  Entries are int
 numerators, the mass over W and revenue and utility over V W; a profile
 sums them as ints, and its three ``Fraction``s are built only with its
@@ -55,6 +55,7 @@ from .core import (
     GuardExceeded,
     SetPartition,
     ValidationError,
+    add_lowest_type,
     bell_number,
     canonical_partition,
     compositions,
@@ -175,17 +176,9 @@ class GameEvaluator:
         return entry
 
     def _block(self, mask: int) -> tuple[int, int, tuple[int, int, int]]:
-        """A one-buyer, one-good block's (mass, value-weighted mass, best
-        (revenue, utility, price)), memoised by mask over ``_bits``.
-
-        The block without its lowest-valued type t, B' = B & (B - 1), has
-        the same mass at or above every higher price, so adding t adds one
-        candidate, v_t, at the block's whole mass M: best(B) is the larger
-        of best(B') and (v_t M, S - v_t M, v_t), with S the value-weighted
-        mass.  That is ``lpmech.best_posted_price``'s running maximum over
-        the block's pairs (a revenue tie goes to the lower price), so one
-        step prices a block whose B' is memoised.  Ints over W, V W and V.
-        """
+        """A one-buyer, one-good block's ``core.add_lowest_type`` triple,
+        memoised by mask over ``_bits``: one step from the block without its
+        lowest-valued type, B & (B - 1), memoised first."""
         blocks = self._blocks
         chain = []
         rest = mask
@@ -201,12 +194,7 @@ class GameEvaluator:
         blocks, ranked = self._blocks, self._ranked
         for mask in masks:
             low = mask & -mask
-            value, weight = ranked[low.bit_length() - 1]
-            mass, weighted, best = blocks[mask ^ low]
-            mass += weight
-            weighted += weight * value
-            candidate = (value * mass, weighted - value * mass, value)
-            blocks[mask] = (mass, weighted, candidate if best is None or candidate > best else best)
+            blocks[mask] = add_lowest_type(blocks[mask ^ low], *ranked[low.bit_length() - 1])
 
     @cached_property
     def _members(self) -> list[tuple[int, ...]]:

@@ -1,11 +1,13 @@
 import hashlib
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
-from disclosure_games import acceptance, cli, simplex
+from disclosure_games import acceptance, cli, hardness, simplex
 from disclosure_games.acceptance import CRITERIA, Criterion
 from disclosure_games.cli import main
 from disclosure_games.lpmech import VerificationReport
@@ -75,12 +77,18 @@ def run(capsys, *argv):
 
 @pytest.fixture(scope="module")
 def suite_run():
-    """One ``suite`` run, the slowest command, shared by the tests that read
-    it: (exit code, stdout, stderr)."""
+    """One ``suite --expected`` run, the slowest command, shared by the tests
+    that read it: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(["suite"])
+        code = main(["suite", "--expected"])
     return code, out.getvalue(), err.getvalue()
+
+
+# sha256 and length of ``suite --expected``'s stdout: every criterion's
+# expected-against-computed rows, byte for byte
+SUITE_EXPECTED_SHA256 = "a8d9da9925643389672584472bda32a822f1e3def5804589dc8f3642b677ed86"
+SUITE_EXPECTED_BYTES = 5628
 
 
 class TestEvalUniform:
@@ -599,6 +607,14 @@ class TestDispatch:
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
 
+    def test_no_argument_reads_the_command_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["disclosure-games", "threshold", "--t", "1/4"])
+        code = main()
+        from_argv = capsys.readouterr()
+        assert code == 0
+        assert from_argv.out.startswith("# disclosure-games threshold --t 1/4\n")
+        assert (code, from_argv.out, from_argv.err) == run(capsys, "threshold", "--t", "1/4")
+
     def test_suite_runs_every_item(self, suite_run):
         code, out, _ = suite_run
         assert code == 0
@@ -607,11 +623,18 @@ class TestDispatch:
         ran = {int(line.split()[1]) for line in lines if line.startswith("ok")}
         assert ran == set(range(1, 16))
 
+    def test_suite_expected_rows_are_pinned(self, suite_run):
+        _, out, _ = suite_run
+        data = out.encode()
+        assert len(data) == SUITE_EXPECTED_BYTES
+        assert hashlib.sha256(data).hexdigest() == SUITE_EXPECTED_SHA256
+
     def test_suite_reports_time_against_budget_on_stderr(self, suite_run):
         code, out, err = suite_run
         assert code == 0
-        assert out.splitlines() == (
-            ["# disclosure-games suite"]
+        # the indented rows are pinned by their digest above
+        assert [line for line in out.splitlines() if not line.startswith("       ")] == (
+            ["# disclosure-games suite --expected"]
             + [f"ok   {c.number:2d} {c.title}" for c in CRITERIA]
             + [f"{len(CRITERIA)} passed"]
         )
@@ -651,6 +674,22 @@ class TestFailureExits:
         timing, first = err.splitlines()
         assert timing.startswith("item 7: ") and timing.endswith(" of 1s")
         assert first == "first failure: item 7 (always refuted)"
+
+    def test_broken_reduction_exit_2(self, capsys, monkeypatch):
+        # the pooled message's best response moved off half the total, as
+        # in test_hardness.py::TestVerifyReductionCanFail
+        real = hardness.buyer_utility
+
+        def moved(inst, msg):
+            mass, price = real(inst, msg)
+            return mass, price + Fraction(1, 1000)
+
+        monkeypatch.setattr(hardness, "buyer_utility", moved)
+        code, out, err = run(capsys, "verify-reduction", "--sizes", "2,2,4")
+        assert code == 2
+        assert "pooled witness surplus: " in out and "at price 4001/1000" in out
+        assert "equivalence:" not in out
+        assert err == "assertion failure: sizes [2, 2, 4] break the reduction equivalence\n"
 
     def test_rejected_mechanism_exit_2(self, capsys, menu_file, monkeypatch):
         rejected = VerificationReport(False, "IC row 1 broken", None, None)

@@ -292,3 +292,45 @@ class TestIntegerSearch:
             assert optima[0] == blocks
             tied += len(optima) > 1
         assert tied >= 10
+
+
+def seeded_instance(n: int, seed: int) -> SingleBuyerInstance:
+    rng = random.Random(seed)
+    values = sorted(rng.sample(range(1, 10 * n), n))
+    weights = [rng.randint(1, 6) for _ in range(n)]
+    return SingleBuyerInstance(tuple(map(F, values)), tuple(F(w, sum(weights)) for w in weights))
+
+
+def equally_spaced_instance(n: int) -> SingleBuyerInstance:
+    # equal probabilities on equally spaced values tie many last blocks
+    return SingleBuyerInstance(tuple(F(k + 1) for k in range(n)), (F(1, n),) * n)
+
+
+class TestBellman:
+    """Past the brute force's guard the DP table is checked by its Bellman
+    inequalities, every block priced on its own by ``buyer_utility``:
+    entry i is at least entry j plus block j..i-1 for every j < i, with
+    equality at the start of the returned partition's last block and at no
+    smaller j (the tie rule)."""
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            seeded_instance(40, 4040),
+            seeded_instance(120, 120120),
+            equally_spaced_instance(40),
+            equally_spaced_instance(120),
+        ],
+        ids=["seeded-40", "seeded-120", "spaced-40", "spaced-120"],
+    )
+    def test_every_entry_is_its_best_extension(self, inst):
+        assert inst.n > dpconnected.BRUTE_FORCE_GUARD
+        table = dp_table(inst)
+        assert table[0] == (0, ())
+        for i in range(1, inst.n + 1):
+            utility, partition = table[i]
+            start = partition[-1][0]
+            assert partition == table[start][1] + (tuple(range(start, i)),)
+            reach = [table[j][0] + buyer_utility(inst, range(j, i))[0] for j in range(i)]
+            assert all(r <= utility for r in reach)
+            assert reach.index(utility) == start

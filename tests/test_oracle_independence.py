@@ -11,7 +11,12 @@ import sys
 from pathlib import Path
 
 from disclosure_games import core
-from disclosure_games.dpconnected import buyer_utility
+from disclosure_games.dpconnected import (
+    SingleBuyerInstance,
+    brute_force_connected,
+    buyer_utility,
+    optimal_connected,
+)
 from disclosure_games.game import search_best
 from disclosure_games.hardness import (
     PartitionProblem,
@@ -53,12 +58,11 @@ def executed(run) -> set[str]:
 
 # verify_reduction's two sides: the profile search over the reduced game,
 # and the subset brute force with the pooled witness priced by buyer_utility
-REDUCTION_ALLOWED = {
-    "core.DiscreteInstance.ints": (
-        "the instance's exact int form, a change of representation that "
-        "prices nothing; TestIntForm reads every Fraction back from it"
-    ),
-}
+INT_FORM = (
+    "the instance's exact int form, a change of representation that "
+    "prices nothing; TestIntForm reads every Fraction back from it"
+)
+REDUCTION_ALLOWED = {"core.DiscreteInstance.ints": INT_FORM}
 
 
 def test_reduction_search_and_its_oracle_share_only_the_int_form():
@@ -81,3 +85,31 @@ def test_reduction_search_and_its_oracle_share_only_the_int_form():
     # enumerator on the search side, best_posted_price on the oracle side
     assert {"game.GameEvaluator._price", "core.set_partition_masks"} <= search - checked
     assert {"lpmech.best_posted_price", "hardness.solve_partition_bruteforce"} <= checked - search
+
+
+# the connected-partition DP, which extends one running block per step,
+# and the brute force over compositions, which prices every block on its
+# own through buyer_utility
+CONNECTED_ALLOWED = {
+    "core.DiscreteInstance.ints": INT_FORM,
+    "dpconnected.SingleBuyerInstance.ints": (
+        "returns the wrapped DiscreteInstance's int form, the entry above"
+    ),
+    "dpconnected.SingleBuyerInstance.n": (
+        "the number of types, len(values): it sizes both searches and prices nothing"
+    ),
+}
+
+
+def test_connected_dp_and_its_brute_force_share_only_the_instance():
+    pairs = [("1/8", v) for v in (3, 1, 4, 15, 9, 2, 6, 5)]
+    # an instance of its own for each side, so each builds its int form
+    for_dp, for_brute = SingleBuyerInstance.build(pairs), SingleBuyerInstance.build(pairs)
+    dp = executed(lambda: optimal_connected(for_dp))
+    brute = executed(lambda: brute_force_connected(for_brute))
+    shared = dp & brute
+    assert shared <= set(CONNECTED_ALLOWED), sorted(shared - set(CONNECTED_ALLOWED))
+    # the DP prices by the one-step extension only, never by a scan; the
+    # brute force prices every block through the posted-price pass
+    assert "core.add_lowest_type" in dp - brute
+    assert {"dpconnected.buyer_utility", "lpmech.best_posted_price"} <= brute - dp
