@@ -81,8 +81,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/disclosure_games/game.py",
-        "profile = min(map(evaluator._profile, tied))",
-        "profile = max(map(evaluator._profile, tied))",
+        "masks = min(tied, key=evaluator._profile)",
+        "masks = max(tied, key=evaluator._profile)",
         "tests/test_game.py::TestSearchBest::test_is_the_first_ranked_row",
         "search_best breaks a posted-price surplus tie toward the larger profile",
     ),
@@ -127,8 +127,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/disclosure_games/core.py",
-        "w_scales = tuple(lcm(*(t.prob.denominator for t in prior)) for prior in self.buyers)",
-        "w_scales = tuple(prior[0].prob.denominator for prior in self.buyers)",
+        "w_scales.append(w)",
+        "w_scales.append(prior[0].prob.denominator)",
         "tests/test_core.py::TestIntForm::test_gives_back_every_fraction",
         "IntForm.w_scales from one denominator",
     ),
@@ -147,7 +147,28 @@ MUTANTS = (
         "tests/test_uniform2.py::TestThresholdFamily::test_matches_the_quadrant_oracle",
         "threshold_surplus reads the quadrants in reverse",
     ),
+    Mutant(
+        "src/disclosure_games/core.py",
+        "if sum(nums) != w:",
+        "if sum(nums) > w:",
+        "tests/test_core.py::TestValidationOracle::test_agrees_with_a_fraction_predicate",
+        "DiscreteInstance accepts probabilities summing to less than 1",
+    ),
     # exhaustive searches and the reduction checker
+    Mutant(
+        "src/disclosure_games/game.py",
+        "placed = total + score[m | last] - score[m]",
+        "placed = total + score[m | last]",
+        "tests/test_game.py::TestSearchBest::test_is_the_first_ranked_row",
+        "search_best places the last type without taking off the block it joins",
+    ),
+    Mutant(
+        "src/disclosure_games/hardness.py",
+        "if low[mask & (len(low) - 1)] + high[mask >> h] == half:",
+        "if low[mask & (len(low) - 1)] + high[mask >> (h - 1)] == half:",
+        "tests/test_hardness.py::TestSubsetBruteForce::test_first_subset_in_mask_order",
+        "solve_partition_bruteforce reads the high half table at the wrong shift",
+    ),
     Mutant(
         "src/disclosure_games/core.py",
         "blocks.append(block[start][n])",

@@ -14,9 +14,8 @@ from __future__ import annotations
 import json
 import re
 from collections import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -45,6 +44,10 @@ def parse_rational(text) -> Fraction:
     carry binary rounding the caller probably does not intend, and
     booleans since JSON true is not a number.
     """
+    if type(text) is Fraction:  # exact types first: the ABC checks below are slow
+        return text
+    if type(text) is int:
+        return Fraction(text)
     if isinstance(text, Fraction):
         return text
     if isinstance(text, bool):
@@ -63,7 +66,7 @@ def parse_rational(text) -> Fraction:
 
 def require_exact(x, what: str) -> None:
     """Reject anything but an int or a Fraction: floats round, and bool is an int."""
-    if not (isinstance(x, Fraction) or type(x) is int):
+    if not (type(x) is Fraction or type(x) is int or isinstance(x, Fraction)):
         raise ValidationError(f"{what} must be an int or a Fraction, got {x!r}")
 
 
@@ -98,7 +101,7 @@ class BuyerType:
 
 @dataclass(frozen=True)
 class IntForm:
-    """A ``DiscreteInstance`` on int numerators; see ``DiscreteInstance.ints``."""
+    """A ``DiscreteInstance`` on int numerators; see ``DiscreteInstance``."""
 
     v_scale: int
     values: tuple[tuple[tuple[int, ...], ...], ...]
@@ -114,10 +117,22 @@ class DiscreteInstance:
     ``buyers[j][i]`` is type i of buyer j.  Type probabilities are positive
     and sum to one per buyer; every type carries one nonnegative value per
     good.
+
+    ``ints``, a field outside ``__init__``, equality, hashing and ``repr``,
+    is the instance on int numerators, derived in the pass that validates
+    it; the value and probability checks run on those ints.  ``v_scale``
+    is the lcm of every value denominator and ``values[j][i][k]`` the value
+    of buyer j's type i for good k over it; ``w_scales[j]`` is the lcm of
+    buyer j's probability denominators and ``probs[j][i]`` type i's
+    probability over it, so a joint type's weight is the product of its
+    numerators over the product of the scales.  ``orders[j]`` lists buyer
+    j's types by value vector, lexicographic for several goods: the scales
+    are positive, so the ints keep the rationals' order.
     """
 
     goods: int
     buyers: tuple[tuple[BuyerType, ...], ...]
+    ints: IntForm = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # bool is an int subclass, but JSON true is not a count of goods
@@ -127,34 +142,48 @@ class DiscreteInstance:
             raise ValidationError(f"buyers must be a tuple of type tuples, got {self.buyers!r}")
         if not self.buyers:
             raise ValidationError("instance needs at least one buyer")
+        values, w_scales, probs = [], [], []
         for j, prior in enumerate(self.buyers, 1):
             if not isinstance(prior, tuple):
                 raise ValidationError(f"buyer {j} must be a tuple of BuyerType, got {prior!r}")
             if not prior:
                 raise ValidationError(f"buyer {j} has no types")
-            total = Fraction(0)
             for i, t in enumerate(prior, 1):
                 if not isinstance(t, BuyerType) or not isinstance(t.values, tuple):
                     raise ValidationError(
                         f"buyer {j} type {i} must be a BuyerType with a tuple of values, got {t!r}"
                     )
                 for x in (t.prob, *t.values):
-                    require_exact(x, f"buyer {j} type {i}: probability or value")
-                if t.prob <= 0:
+                    if type(x) is not Fraction and type(x) is not int:  # else skip the f-string
+                        require_exact(x, f"buyer {j} type {i}: probability or value")
+                if t.prob.numerator <= 0:
                     raise ValidationError(f"buyer {j} type {i}: prob must be positive")
                 if len(t.values) != self.goods:
                     raise ValidationError(
                         f"buyer {j} type {i}: expected {self.goods} values, got {len(t.values)}"
                     )
-                if any(v < 0 for v in t.values):
+                if any(v.numerator < 0 for v in t.values):
                     raise ValidationError(f"buyer {j} type {i}: values must be nonnegative")
-                total += t.prob
-            if total != 1:
-                raise ValidationError(
-                    f"buyer {j}: type probabilities sum to {format_rational(total)}, expected 1"
-                )
-            if len({t.values for t in prior}) != len(prior):
+            w = lcm(*(t.prob.denominator for t in prior))
+            nums = tuple(t.prob.numerator * (w // t.prob.denominator) for t in prior)
+            if sum(nums) != w:
+                total = format_rational(Fraction(sum(nums), w))
+                raise ValidationError(f"buyer {j}: type probabilities sum to {total}, expected 1")
+            u = lcm(*(v.denominator for t in prior for v in t.values))  # buyer j's own value lcm
+            vecs = tuple(tuple(v.numerator * (u // v.denominator) for v in t.values) for t in prior)
+            if len(set(vecs)) != len(prior):
                 raise ValidationError(f"buyer {j}: duplicate type value vectors")
+            values.append((u, vecs))
+            w_scales.append(w)
+            probs.append(nums)
+        v_scale = lcm(*(u for u, _ in values))
+        values = tuple(
+            vecs if u == v_scale else tuple(tuple(x * (v_scale // u) for x in vec) for vec in vecs)
+            for u, vecs in values
+        )
+        orders = tuple(tuple(sorted(range(len(nums)), key=nums.__getitem__)) for nums in values)
+        form = IntForm(v_scale, values, tuple(w_scales), tuple(probs), orders)
+        object.__setattr__(self, "ints", form)
 
     @property
     def n_buyers(self) -> int:
@@ -162,34 +191,6 @@ class DiscreteInstance:
 
     def n_types(self, j: int) -> int:
         return len(self.buyers[j])
-
-    @cached_property
-    def ints(self) -> IntForm:
-        """The instance on int numerators, built on first read and kept.
-
-        ``v_scale`` is the lcm of every value denominator and
-        ``values[j][i][k]`` the value of buyer j's type i for good k over it;
-        ``w_scales[j]`` is the lcm of buyer j's probability denominators and
-        ``probs[j][i]`` type i's probability over it, so a joint type's
-        weight is the product of its numerators over the product of the
-        scales.  ``orders[j]`` lists buyer j's types by value vector,
-        lexicographic for several goods: the scales are positive, so the
-        ints keep the rationals' order, and a buyer's value vectors are
-        distinct.  The cache lives in the instance ``__dict__``, outside the
-        fields, so equality, hashing and ``repr`` ignore it.
-        """
-        v_scale = lcm(*(v.denominator for prior in self.buyers for t in prior for v in t.values))
-        w_scales = tuple(lcm(*(t.prob.denominator for t in prior)) for prior in self.buyers)
-        values = tuple(
-            tuple(tuple(v.numerator * (v_scale // v.denominator) for v in t.values) for t in prior)
-            for prior in self.buyers
-        )
-        probs = tuple(
-            tuple(t.prob.numerator * (w // t.prob.denominator) for t in prior)
-            for prior, w in zip(self.buyers, w_scales)
-        )
-        orders = tuple(tuple(sorted(range(len(nums)), key=nums.__getitem__)) for nums in values)
-        return IntForm(v_scale, values, w_scales, probs, orders)
 
     @staticmethod
     def build(goods: int, buyers: Sequence[Sequence[tuple]]) -> "DiscreteInstance":

@@ -8,7 +8,8 @@ of types 1..i extends the best partition of some prefix 1..j by the block
 block utilities add without renormalizing.
 
 A ``SingleBuyerInstance`` validates its ``DiscreteInstance`` once and
-keeps it, so its int form (``DiscreteInstance.ints``) is derived once.
+keeps it with the int form that instance derives as it validates
+(``DiscreteInstance.ints``); its own checks run on those ints.
 Sums are int numerators over V W, the product of the form's scales.  For
 each i the DP walks j down from i - 1 to 0, extending one running block
 {j+1..i} by type j+1 in one ``core.add_lowest_type`` step, the game
@@ -60,9 +61,10 @@ class SingleBuyerInstance:
             1, (tuple(BuyerType(p, (v,)) for v, p in zip(self.values, self.probs)),)
         )
         object.__setattr__(self, "_instance", instance)
-        if self.values[0] <= 0:
+        values = [vector[0] for vector in instance.ints.values[0]]  # over V > 0: same order
+        if values[0] <= 0:
             raise ValidationError("values must be positive")
-        if any(a >= b for a, b in zip(self.values, self.values[1:])):
+        if any(a >= b for a, b in zip(values, values[1:])):
             raise ValidationError("values must be strictly increasing")
 
     @property

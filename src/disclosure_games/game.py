@@ -32,11 +32,11 @@ every row, ``search_best`` the best one alone.  On the posted-price path
 a full search prices all 2^n - 1 blocks, one step each, then walks the
 set partitions as tuples of block masks (``core.set_partition_masks``),
 each total an int over V W kept while its partition is built; it builds
-canonical profiles only for rows it reads, and ``search_best`` keeps only
-the masks tied at the best total.  On the LP path a search generates
-canonical profiles and scores each one once through the scoring loop of
-``evaluate``, without its check, and ranks on int numerators over the lcm
-of the ``Fraction`` totals' denominators.
+canonical profiles and sums (off the block memo) only for rows it reads,
+and ``search_best`` even masks only for ties.  On the LP path a search
+generates canonical profiles and scores each one once through the scoring
+loop of ``evaluate``, without its check, and ranks on int numerators over
+the lcm of the ``Fraction`` totals' denominators.
 """
 
 from __future__ import annotations
@@ -158,12 +158,10 @@ class GameEvaluator:
         if hit is not None:
             return hit
         if self._form is not None:
-            # With one buyer every sale goes to the only bidder, so "efficient"
-            # is "all sold": the price is the block's lowest value.
             mask = sum(map(self._bits.__getitem__, messages[0]))
-            mass, _, (revenue, utility, price) = self._block(mask)
-            sold = revenue > 0 and price == self._ranked[(mask & -mask).bit_length() - 1][0]
-            entry = (mass, None, revenue, (utility,), sold, sold)
+            mass = self._block(mask)[0]  # memoises the block for _mask_sums
+            revenue, utilities, _, sold, efficient = self._mask_sums((mask,))
+            entry = (mass, None, revenue, utilities, sold, efficient)
         else:
             cond = condition_on_messages(self.instance, messages)
             prob = Fraction(1)
@@ -195,6 +193,24 @@ class GameEvaluator:
         for mask in masks:
             low = mask & -mask
             blocks[mask] = add_lowest_type(blocks[mask ^ low], *ranked[low.bit_length() - 1])
+
+    def _utilities(self) -> list[int]:
+        """Prices all 2^n - 1 blocks; each one's utility over V W, by mask (0 empty)."""
+        full = range(1, 1 << len(self._bits))
+        self._price(full)
+        return [0] + [self._blocks[m][2][1] for m in full]
+
+    def _mask_sums(self, masks: tuple[int, ...]) -> tuple:
+        """``_sums`` of a one-buyer, one-good partition as block masks, from the memo."""
+        revenue = utility = 0
+        sold = True
+        for mask in masks:
+            _, _, (rev, util, price) = self._blocks[mask]
+            revenue += rev
+            utility += util
+            # all sold (with one buyer, efficient too) when priced at its lowest value
+            sold = sold and rev > 0 and price == self._ranked[(mask & -mask).bit_length() - 1][0]
+        return revenue, (utility,), utility, sold, sold
 
     @cached_property
     def _members(self) -> list[tuple[int, ...]]:
@@ -248,9 +264,9 @@ class GameEvaluator:
             efficient &= eff
         return revenue, per_buyer, sum(per_buyer), always_all_sold, efficient
 
-    def _outcome(self, profile: tuple[SetPartition, ...], sums: tuple | None = None) -> GameOutcome:
-        """The ``GameOutcome`` of a profile and its ``_sums``, summed here when not given."""
-        revenue, per_buyer, total, always_all_sold, efficient = sums or self._sums(profile)
+    def _outcome(self, profile: tuple[SetPartition, ...], sums: tuple) -> GameOutcome:
+        """The ``GameOutcome`` of a profile and its ``_sums``."""
+        revenue, per_buyer, total, always_all_sold, efficient = sums
         scale = self._scale
         return GameOutcome(
             expected_revenue=Fraction(revenue, scale),
@@ -321,27 +337,24 @@ def _posted_price_totals(
             for part in connected_partitions(evaluator.instance, 0)
         )
         return ((masks, sum(block(m)[2][1] for m in masks)) for masks in masks_of)
-    full = range(1, 1 << evaluator.instance.n_types(0))
-    evaluator._price(full)
-    blocks = evaluator._blocks
-    return set_partition_masks(evaluator._bits, [0] + [blocks[m][2][1] for m in full])
+    return set_partition_masks(evaluator._bits, evaluator._utilities())
 
 
-def _ranking(evaluator: GameEvaluator, connected_only: bool) -> list[tuple[tuple, tuple | None]]:
+def _ranking(evaluator: GameEvaluator, connected_only: bool) -> list[tuple[tuple, tuple]]:
     """Score every partition profile once and key it for ranking.
 
     Returns one (key, sums) row per profile, unordered.  The key is
     (-total surplus, profile) with the total an exact int, so the best
     surplus comes first and exact ties go to the canonically smaller
     profile: a total order, whatever order the profiles were generated in.
-    Posted-price totals are ints over the evaluator's scale, summed from
-    the block memo, and their sums are left to ``_outcome`` (None); LP
-    totals are ``Fraction``s from ``_sums``, brought to int numerators
-    over the lcm of their denominators.
+    Posted-price totals are ints over the evaluator's scale, and they and
+    the sums come from the block memo by mask (``_mask_sums``); LP totals
+    are ``Fraction``s from ``_sums``, brought to int numerators over the
+    lcm of their denominators.
     """
     if evaluator._form is not None:
         scored = [
-            (total, evaluator._profile(masks), None)
+            (total, evaluator._profile(masks), evaluator._mask_sums(masks))
             for masks, total in _posted_price_totals(evaluator, connected_only)
         ]
     else:
@@ -380,22 +393,28 @@ def search_best(
 ) -> tuple[tuple[SetPartition, ...], GameOutcome]:
     """``search_profiles(inst, connected_only)[0]``, building one ``GameOutcome``.
 
-    On the posted-price path the totals stream past and only the block
-    masks tied at the best total are kept; their canonical profiles are
-    built to break the tie.
+    A full posted-price search places the last type inline, in
+    ``set_partition_masks``' order, into each partition of the others, so
+    it builds Bell(n - 1) mask tuples and the ties at the best total, not
+    Bell(n).  Other searches take the least row of ``_ranking``.
     """
     evaluator = _search_evaluator(inst, connected_only)
-    if evaluator._form is None:
+    if evaluator._form is None or connected_only:
         key, sums = min(_ranking(evaluator, connected_only), key=itemgetter(0))
         return key[1], evaluator._outcome(key[1], sums)
     best, tied = -1, []  # a total is a sum of utilities, never negative
-    for masks, total in _posted_price_totals(evaluator, connected_only):
-        if total >= best:
-            if total > best:
-                best, tied = total, []
-            tied.append(masks)
-    profile = min(map(evaluator._profile, tied))
-    return profile, evaluator._outcome(profile)
+    score = evaluator._utilities()
+    *bits, last = evaluator._bits
+    for masks, total in set_partition_masks(bits, score):
+        for k, m in enumerate(masks + (0,)):
+            placed = total + score[m | last] - score[m]
+            if placed >= best:
+                if placed > best:
+                    best, tied = placed, []
+                tied.append(masks[:k] + (m | last,) + masks[k + 1 :])
+    masks = min(tied, key=evaluator._profile)
+    profile = evaluator._profile(masks)
+    return profile, evaluator._outcome(profile, evaluator._mask_sums(masks))
 
 
 def search_to_csv(results: Sequence[tuple[tuple[SetPartition, ...], GameOutcome]]) -> str:

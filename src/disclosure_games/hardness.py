@@ -9,11 +9,11 @@ the target surplus U = S/6 - 1/12; no disclosure scheme reaches U
 otherwise.  The checker runs both brute forces (subset sum and full
 profile search) and compares.  The profile search (``game.search_best``)
 prices each block of the m+1 types once, in one step from the block
-without its lowest-valued type, ranks every set partition on its int
-total, and builds the outcome of the best one only.  The oracle side, the
-subset search and the pooled witness priced by
-``dpconnected.buyer_utility``, runs none of that code; a tier-1 test
-traces both sides to check it.
+without its lowest-valued type, ranks the set partitions on int totals,
+placing the last type inline, and builds block masks for ties only and
+the outcome of the best one only.  The oracle side, the subset search
+and the pooled witness priced by ``dpconnected.buyer_utility``, runs
+none of that code; a tier-1 test traces both sides to check it.
 """
 
 from __future__ import annotations
@@ -73,26 +73,30 @@ class BuyerOptInstance:
 
 
 def reduce_to_buyer_opt(pp: PartitionProblem) -> BuyerOptInstance:
-    s = pp.total
-    values = [Fraction(s, 2)]
-    probs = [Fraction(1, 3)]
-    for i, size in enumerate(pp.sizes, start=1):
-        values.append(s - Fraction(1, 4 + i))
-        probs.append(Fraction(2 * size, 3 * s))
-    inst = SingleBuyerInstance(tuple(values), tuple(probs))
-    return BuyerOptInstance(inst, Fraction(s, 6) - Fraction(1, 12))
+    # one Fraction each: S - 1/(4+i) = (S(4+i) - 1)/(4+i), S/6 - 1/12 = (2S - 1)/12
+    s, m = pp.total, len(pp.sizes)
+    values = (Fraction(s, 2), *(Fraction(s * (4 + i) - 1, 4 + i) for i in range(1, m + 1)))
+    probs = (Fraction(1, 3), *(Fraction(2 * size, 3 * s) for size in pp.sizes))
+    return BuyerOptInstance(SingleBuyerInstance(values, probs), Fraction(2 * s - 1, 12))
 
 
 def solve_partition_bruteforce(pp: PartitionProblem) -> Optional[tuple[int, ...]]:
-    """First subset (by bitmask order) summing to half the total, or None."""
+    """First subset (by bitmask order) summing to half the total, or None.
+
+    A mask's bits below h = ceil(m/2) and from h up are summed in two
+    tables of at most 2^h subset sums, never in one of 2^m.
+    """
     m = len(pp.sizes)
     if m > SUBSET_GUARD:
         raise GuardExceeded(f"2^{m} subsets is over the guard of 2^{SUBSET_GUARD}")
-    half = pp.total // 2
+    h, half = (m + 1) // 2, pp.total // 2
+    low, high = [0], [0]  # the subset sums of sizes[:h] and of sizes[h:], by mask
+    for i, size in enumerate(pp.sizes):
+        sums = low if i < h else high
+        sums += [total + size for total in sums]
     for mask in range(1, 2**m):
-        picked = [i for i in range(m) if mask >> i & 1]
-        if sum(pp.sizes[i] for i in picked) == half:
-            return tuple(picked)
+        if low[mask & (len(low) - 1)] + high[mask >> h] == half:
+            return tuple(i for i in range(m) if mask >> i & 1)
     return None
 
 
@@ -127,19 +131,13 @@ def verify_reduction(pp: PartitionProblem) -> ReductionReport:
     best_profile, best_outcome = search_best(reduced.instance.to_instance())
     reaches = best_outcome.total_surplus >= reduced.target
     equivalent = reaches == (subset is not None)
-    witness_profile = None
-    witness_surplus = None
-    pooled_price = None
+    witness_profile = witness_surplus = pooled_price = None
     if subset is not None:
         pooled = (reduced.pool_index,) + tuple(reduced.size_type(i) for i in subset)
-        rest = [
-            (reduced.size_type(i),)
-            for i in range(len(pp.sizes))
-            if i not in subset
-        ]
+        rest = [(reduced.size_type(i),) for i in range(len(pp.sizes)) if i not in subset]
         witness_profile = ((tuple(sorted(pooled)),) + tuple(rest),)
-        mass, pooled_price = buyer_utility(reduced.instance, pooled)
-        witness_surplus = mass  # singleton messages are fully extracted
+        # singleton messages are fully extracted, so the pooled one holds all the surplus
+        witness_surplus, pooled_price = buyer_utility(reduced.instance, pooled)
         if pooled_price != Fraction(pp.total, 2):
             equivalent = False
         if witness_surplus < reduced.target:

@@ -453,6 +453,19 @@ class TestGoldenStdout:
             "equivalence: surplus target reached exactly when an even split exists\n"
         )
 
+    def test_verify_reduction_at_the_guard_unsolvable(self, capsys):
+        # m = VERIFY_GUARD = 8 with no even split: the search walks all 21,147
+        # partitions of the 9 types and none reaches the target
+        code, out, _ = run(capsys, "verify-reduction", "--sizes", "1,1,1,1,1,1,1,21")
+        assert code == 0
+        assert out == (
+            "# disclosure-games verify-reduction --sizes 1,1,1,1,1,1,1,21\n"
+            "sizes [1, 1, 1, 1, 1, 1, 1, 21], target 55/12 (~4.58333)\n"
+            "even split: none\n"
+            "best disclosure surplus: 2690599/1164240 (~2.31103)\n"
+            "equivalence: surplus target reached exactly when an even split exists\n"
+        )
+
     def test_zeno_depth_twelve_csv(self, capsys, tmp_path):
         target = tmp_path / "zeno.csv"
         code, out, _ = run(capsys, "zeno", "--depth", "12", "--out", str(target))

@@ -135,7 +135,7 @@ def exact_instances(draw):
 
 
 class TestIntForm:
-    """``DiscreteInstance.ints``: one integer form per instance, cached."""
+    """``DiscreteInstance.ints``: one integer form per instance, built with it."""
 
     def test_cache_leaves_equality_hash_and_repr_alone(self):
         inst = DiscreteInstance.build(2, [[("1/3", ["1/2", "2"]), ("2/3", ["3", "1/7"])]])
@@ -143,7 +143,13 @@ class TestIntForm:
         before = (inst == twin, hash(inst), repr(inst))
         form = inst.ints
         assert vars(inst)["ints"] is form and inst.ints is form
-        assert "ints" not in vars(twin)
+        # both hold a form of their own from construction, and an instance
+        # whose form differs still compares, hashes and prints the same
+        assert vars(twin)["ints"] == form and vars(twin)["ints"] is not form
+        object.__setattr__(twin, "ints", None)
+        assert (inst == twin, hash(twin), repr(twin)) == before
+        assert "ints" not in repr(inst)
+        object.__setattr__(twin, "ints", form)
         assert (inst == twin, hash(inst), repr(inst)) == before
         assert inst == twin and hash(inst) == hash(twin) and repr(inst) == repr(twin)
 
@@ -168,6 +174,72 @@ class TestIntForm:
             exact = [tuple(map(Fraction, t.values)) for t in prior]
             assert form.orders[j] == tuple(sorted(range(len(prior)), key=exact.__getitem__))
         assert math.gcd(form.v_scale, *value_nums) == 1
+
+
+@st.composite
+def near_valid_priors(draw):
+    """(goods, buyers) for 1-3 buyers, each valid or one step off:
+    probabilities summing to 1 +- 1/k, a zero or negative probability, a
+    negative value or duplicate value vectors; ints mixed with Fractions."""
+    goods = draw(st.integers(1, 2))
+    buyers = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 4))
+        vectors = draw(st.lists(st.tuples(*[RATIONAL] * goods), min_size=n, max_size=n))
+        weights = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+        probs = [Fraction(w, sum(weights)) for w in weights]
+        step = draw(st.sampled_from(["none"] * 4 + ["sum", "zero", "negative", "value", "twin"]))
+        if step == "sum":
+            probs[0] += draw(st.sampled_from([-1, 1])) * Fraction(1, draw(st.integers(2, 40)))
+        elif step in ("zero", "negative") and n > 1:
+            moved = probs[0] * (1 if step == "zero" else 2)
+            probs[0] -= moved
+            probs[1] += moved
+        elif step == "value":
+            vectors[-1] = (-draw(RATIONAL) - Fraction(1, 7),) + vectors[-1][1:]
+        elif step == "twin" and n > 1:
+            vectors[-1] = vectors[0]
+        if draw(st.booleans()):  # ints where the number is whole
+            probs = [int(p) if p.denominator == 1 else p for p in probs]
+            vectors = [tuple(int(v) if v.denominator == 1 else v for v in vec) for vec in vectors]
+        buyers.append(tuple(BuyerType(p, vec) for p, vec in zip(probs, vectors)))
+    return goods, tuple(buyers)
+
+
+def first_fault(buyers) -> str | None:
+    """The message of the first check a near-valid instance fails, found in
+    plain ``Fraction`` arithmetic, or None when it is valid."""
+    for j, prior in enumerate(buyers, 1):
+        total = Fraction(0)
+        for i, t in enumerate(prior, 1):
+            if Fraction(t.prob) <= 0:
+                return f"buyer {j} type {i}: prob must be positive"
+            if any(Fraction(v) < 0 for v in t.values):
+                return f"buyer {j} type {i}: values must be nonnegative"
+            total += t.prob
+        if total != 1:
+            return f"buyer {j}: type probabilities sum to {total}, expected 1"
+        if len({tuple(map(Fraction, t.values)) for t in prior}) != len(prior):
+            return f"buyer {j}: duplicate type value vectors"
+    return None
+
+
+class TestValidationOracle:
+    """``DiscreteInstance`` checks on its int form; a predicate on plain
+    ``Fraction``s must accept and reject the same instances, with the same
+    message."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(near_valid_priors())
+    def test_agrees_with_a_fraction_predicate(self, case):
+        goods, buyers = case
+        message = first_fault(buyers)
+        if message is None:
+            assert DiscreteInstance(goods, buyers).buyers == buyers
+        else:
+            with pytest.raises(ValidationError) as info:
+                DiscreteInstance(goods, buyers)
+            assert str(info.value) == message
 
 
 class TestSetPartitions:

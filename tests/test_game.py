@@ -29,6 +29,7 @@ from disclosure_games.game import (
     search_profiles,
     search_to_csv,
 )
+from disclosure_games.dpconnected import SingleBuyerInstance, optimal_connected
 from disclosure_games.hardness import PartitionProblem, reduce_to_buyer_opt, sweep_size_lists
 from disclosure_games.lpmech import (
     best_posted_price,
@@ -360,6 +361,46 @@ class TestSearchBest:
                 if f.compare:
                     got, expected = getattr(outcome, f.name), getattr(want, f.name)
                     assert got == expected and type(got) is type(expected), (profile, f.name)
+
+
+class TestSearchBestTheorems:
+    """One buyer, one good: ``search_best`` against facts, not against the
+    other searches.  A connected partition is a partition, so the best
+    total is at least the connected DP's optimum (the DP walks no set
+    partition).  No segmentation leaves the seller less than pi*, the no-disclosure
+    posted-price revenue, or the buyer more than E[v] - pi* (the surplus
+    frontier of Bergemann, Brooks & Morris 2015, "The limits of price
+    discrimination", AER); pi* and E[v] are computed here in ``Fraction``."""
+
+    @staticmethod
+    def instances():
+        """The 109 sweep reductions, then seeded random instances whose types
+        are listed out of value order."""
+        singles = [reduce_to_buyer_opt(pp).instance for pp in sweep_size_lists(4, 6)]
+        assert len(singles) == 109
+        found = [(single.to_instance(), single) for single in singles]
+        pool = sorted({F(k, d) for k in range(1, 25) for d in (1, 3)})
+        rng = random.Random(7)
+        for _ in range(150):
+            n = rng.randint(1, 8)
+            values = rng.sample(pool, n)
+            weights = [rng.randint(1, 6) for _ in range(n)]
+            prior = tuple(BuyerType(F(w, sum(weights)), (v,)) for w, v in zip(weights, values))
+            inst = DiscreteInstance(1, (prior,))
+            found.append((inst, SingleBuyerInstance.from_instance(inst)))
+        return found
+
+    def test_total_between_the_connected_optimum_and_the_frontier(self):
+        for inst, single in self.instances():
+            _, outcome = search_best(inst)
+            _, connected = optimal_connected(single)
+            prior = inst.buyers[0]
+            mean = sum(t.prob * t.values[0] for t in prior)
+            # a price at a type's value sells to every type worth at least it
+            pi = max(t.values[0] * sum(s.prob for s in prior if s.values[0] >= t.values[0])
+                     for t in prior)
+            assert connected <= outcome.total_surplus <= mean - pi, (inst, connected, pi)
+            assert outcome.expected_revenue >= pi, inst
 
 
 class TestRareLowsRegression:

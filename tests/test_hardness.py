@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,20 @@ class TestSubsetBruteForce:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             solve_partition_bruteforce(PartitionProblem((2,) * 25))
+
+    def test_first_subset_in_mask_order(self):
+        # against the plain loop over every mask, on sorted and unsorted lists
+        problems = list(sweep_size_lists(5, 5))
+        rng = random.Random(11)
+        while len(problems) < 400:
+            sizes = tuple(rng.randint(1, 12) for _ in range(rng.randint(1, 10)))
+            if sum(sizes) % 2 == 0:
+                problems.append(PartitionProblem(sizes))
+        for pp in problems:
+            m, half = len(pp.sizes), pp.total // 2
+            subsets = (tuple(i for i in range(m) if mask >> i & 1) for mask in range(1, 2**m))
+            want = next((s for s in subsets if sum(pp.sizes[i] for i in s) == half), None)
+            assert solve_partition_bruteforce(pp) == want, pp.sizes
 
 
 class TestVerifyReduction:
