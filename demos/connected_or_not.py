@@ -27,7 +27,7 @@ def main():
         delta = Fraction(text)
         inst = inapproximability_instance(delta)
         _, connected = optimal_connected(inst)
-        free = search_best(inst.to_instance())[1].total_surplus
+        free = search_best(inst)[1].total_surplus
         print(f"  delta {text:>5}: connected {approx(connected)}, "
               f"free {approx(free)}, ratio {approx(free / connected)}")
     print("  pooling the top value with the bottom one is what free")

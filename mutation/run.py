@@ -154,7 +154,29 @@ MUTANTS = (
         "tests/test_core.py::TestValidationOracle::test_agrees_with_a_fraction_predicate",
         "DiscreteInstance accepts probabilities summing to less than 1",
     ),
+    Mutant(
+        "src/disclosure_games/core.py",
+        "or isinstance(x, (int, Fraction)) and not isinstance(x, bool)):",
+        "or isinstance(x, (int, Fraction))):",
+        "tests/test_core.py::TestRationals::test_int_and_fraction_subclasses_are_exact",
+        "require_exact accepts a bool",
+    ),
+    Mutant(
+        "src/disclosure_games/dpconnected.py",
+        "if values[0] <= 0:",
+        "if values[0] < 0:",
+        "tests/test_raise_sites.py::test_dpconnected",
+        "SingleBuyerInstance accepts a value-0 type",
+    ),
     # exhaustive searches and the reduction checker
+    Mutant(
+        "src/disclosure_games/game.py",
+        "tuple((1 << b[-1] + 1) - (1 << b[0]) for b in blocks)",
+        "tuple((1 << b[-1]) - (1 << b[0]) for b in blocks)",
+        "tests/test_dpconnected.py::TestAgainstUnconstrainedSearch::"
+        "test_lp_game_agrees_with_posted_price_oracle",
+        "the connected posted-price search drops a block's top rank from its mask",
+    ),
     Mutant(
         "src/disclosure_games/game.py",
         "placed = total + score[m | last] - score[m]",

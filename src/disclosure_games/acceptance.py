@@ -270,7 +270,7 @@ def _connected_gap_family() -> list[str]:
     for delta in (F(1, 2), F(1, 10), F(1, 100)):
         inst = inapproximability_instance(delta)
         _, connected = optimal_connected(inst)
-        free = search_best(inst.to_instance())[1].total_surplus
+        free = search_best(inst)[1].total_surplus
         name = format_rational(delta)
         _expect(rows, f"delta={name} connected optimum", connected, delta / 9)
         _expect(rows, f"delta={name} unconstrained optimum", free, (1 + delta) / 9)

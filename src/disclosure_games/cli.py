@@ -249,7 +249,7 @@ def cmd_reduce(args) -> int:
         print(f"type {i + 1} ({tag}): value {format_rational(inst.values[i])}, "
               f"prob {format_rational(inst.probs[i])}")
     if args.out:
-        print(_write_artifact(args.out, serialize_instance(inst.to_instance())))
+        print(_write_artifact(args.out, serialize_instance(inst)))
     return 0
 
 

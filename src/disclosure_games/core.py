@@ -65,8 +65,10 @@ def parse_rational(text) -> Fraction:
 
 
 def require_exact(x, what: str) -> None:
-    """Reject anything but an int or a Fraction: floats round, and bool is an int."""
-    if not (type(x) is Fraction or type(x) is int or isinstance(x, Fraction)):
+    """Reject anything but an int or a Fraction, subclasses included: floats
+    round, and bool is an int subclass that JSON true should not pass as."""
+    if not (type(x) is Fraction or type(x) is int
+            or isinstance(x, (int, Fraction)) and not isinstance(x, bool)):
         raise ValidationError(f"{what} must be an int or a Fraction, got {x!r}")
 
 

@@ -7,9 +7,10 @@ of types 1..i extends the best partition of some prefix 1..j by the block
 {j+1..i}.  Utilities are carried as unconditional probability mass, so
 block utilities add without renormalizing.
 
-A ``SingleBuyerInstance`` validates its ``DiscreteInstance`` once and
-keeps it with the int form that instance derives as it validates
-(``DiscreteInstance.ints``); its own checks run on those ints.
+A ``SingleBuyerInstance`` is a ``DiscreteInstance`` with one buyer and one
+good whose types come in strictly increasing order of positive value: it
+validates as any instance does, deriving the int form
+(``DiscreteInstance.ints``), then checks its own conditions on those ints.
 Sums are int numerators over V W, the product of the form's scales.  For
 each i the DP walks j down from i - 1 to 0, extending one running block
 {j+1..i} by type j+1 in one ``core.add_lowest_type`` step, the game
@@ -25,7 +26,6 @@ by its Bellman inequalities past the brute force's guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,7 +33,6 @@ from .core import (
     BuyerType,
     DiscreteInstance,
     GuardExceeded,
-    IntForm,
     SetPartition,
     ValidationError,
     add_lowest_type,
@@ -46,35 +45,35 @@ from .lpmech import best_posted_price
 BRUTE_FORCE_GUARD = 20
 
 
-@dataclass(frozen=True)
-class SingleBuyerInstance:
-    """Strictly increasing positive values with positive probabilities summing to 1."""
+class SingleBuyerInstance(DiscreteInstance):
+    """A one-buyer, one-good ``DiscreteInstance`` whose types come in strictly
+    increasing order of positive value, built from its values and
+    probabilities."""
 
-    values: tuple[Fraction, ...]
-    probs: tuple[Fraction, ...]
-    _instance: DiscreteInstance = field(init=False, repr=False, compare=False)
+    def __init__(self, values: Sequence[Fraction], probs: Sequence[Fraction]):
+        if not values or len(values) != len(probs):
+            raise ValidationError("need matching nonempty values and probabilities")
+        super().__init__(1, (tuple(BuyerType(p, (v,)) for v, p in zip(values, probs)),))
 
     def __post_init__(self):
-        if not self.values or len(self.values) != len(self.probs):
-            raise ValidationError("need matching nonempty values and probabilities")
-        instance = DiscreteInstance(  # checks exactness and probabilities
-            1, (tuple(BuyerType(p, (v,)) for v, p in zip(self.values, self.probs)),)
-        )
-        object.__setattr__(self, "_instance", instance)
-        values = [vector[0] for vector in instance.ints.values[0]]  # over V > 0: same order
+        super().__post_init__()  # checks exactness and probabilities
+        values = [vector[0] for vector in self.ints.values[0]]  # over V > 0: same order
         if values[0] <= 0:
             raise ValidationError("values must be positive")
         if any(a >= b for a, b in zip(values, values[1:])):
             raise ValidationError("values must be strictly increasing")
 
     @property
-    def n(self) -> int:
-        return len(self.values)
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(t.values[0] for t in self.buyers[0])
 
     @property
-    def ints(self) -> IntForm:
-        """The int form of ``to_instance()``, derived once."""
-        return self._instance.ints
+    def probs(self) -> tuple[Fraction, ...]:
+        return tuple(t.prob for t in self.buyers[0])
+
+    @property
+    def n(self) -> int:
+        return len(self.buyers[0])
 
     @staticmethod
     def build(pairs: Sequence[tuple]) -> "SingleBuyerInstance":
@@ -89,10 +88,6 @@ class SingleBuyerInstance:
         return SingleBuyerInstance(
             tuple(prior[i].values[0] for i in order), tuple(prior[i].prob for i in order)
         )
-
-    def to_instance(self) -> DiscreteInstance:
-        """The ``DiscreteInstance`` validated at construction, the same object on every call."""
-        return self._instance
 
 
 def buyer_utility(inst: SingleBuyerInstance, msg: Sequence[int]) -> tuple[Fraction, Fraction]:

@@ -8,35 +8,36 @@ evaluates a partition profile from one cached entry per tuple of
 messages, aggregated with exact block probabilities, and searches all
 partition profiles for the buyer-optimal one.
 
-With one buyer and one good, a message's entry comes straight from the
-prior, on the instance's int form (``DiscreteInstance.ints``: values over
-V, probabilities over W): its mass times the conditioned revenue and
-utility at the seller's best posted price.  Each type holds one bit, by
-value rank, and the evaluator prices each block mask in one step from the
-block without its lowest-valued type (``core.add_lowest_type``),
-memoising it for ``evaluate`` and both searches.  Entries are int
-numerators, the mass over W and revenue and utility over V W; a profile
-sums them as ints, and its three ``Fraction``s are built only with its
-``GameOutcome``.  Every other instance conditions on the messages and
-solves the exact LP (``lpmech.solve_instance``).  ``GameOutcome``'s
-``per_message`` solutions are built on first read; a directly priced
-message then goes through ``solve_instance`` like the rest.
+With one buyer and one good, a message lives in one place: a memo of
+blocks on the instance's int form (``DiscreteInstance.ints``: values over
+V, probabilities over W).  Each type holds one bit, by value rank, and
+the evaluator prices each block mask in one step from the block without
+its lowest-valued type (``core.add_lowest_type``), memoising its mass
+over W and its best posted price's revenue and utility over V W for
+``evaluate`` and both searches.  A profile sums its blocks as ints, and
+its three ``Fraction``s are built only with its ``GameOutcome``.  Every
+other instance conditions on the messages and solves the exact LP
+(``lpmech.solve_instance``), caching one ``Fraction`` entry per message
+tuple.  ``GameOutcome``'s ``per_message`` solutions are built on first
+read; a posted-price message's probability comes off the memo and its
+mechanism is solved through ``solve_instance`` on each such read.
 
-Message tuples repeat across profiles, so an evaluator instance caches
+Message tuples repeat across profiles, so an evaluator instance memoises
 its entries; a full search over an instance touches each distinct
 message tuple once.  ``GameEvaluator.evaluate`` checks and canonicalises
 the profile it is given, then scores it.  A search ranks every profile on
-(-total surplus, profile) with the total an exact int, and builds a
+(-total surplus, profile) with the total exact, and builds a
 ``GameOutcome`` only for a row that is read: ``search_profiles`` builds
 every row, ``search_best`` the best one alone.  On the posted-price path
 a full search prices all 2^n - 1 blocks, one step each, then walks the
 set partitions as tuples of block masks (``core.set_partition_masks``),
-each total an int over V W kept while its partition is built; it builds
-canonical profiles and sums (off the block memo) only for rows it reads,
-and ``search_best`` even masks only for ties.  On the LP path a search
-generates canonical profiles and scores each one once through the scoring
-loop of ``evaluate``, without its check, and ranks on int numerators over
-the lcm of the ``Fraction`` totals' denominators.
+each total an int over V W kept while its partition is built; a
+connected search takes its masks straight from the compositions of the
+value ranks.  Canonical profiles and sums (off the block memo) are built
+only for rows that are read, and ``search_best`` even masks only for
+ties.  On the LP path a search generates canonical profiles and scores
+each one once through the scoring loop of ``evaluate``, without its
+check, and ranks on the ``Fraction`` totals.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -80,8 +80,8 @@ class GameOutcome:
     ``efficient`` means every good is always fully sold to a buyer of
     maximal value for it.  ``per_message`` maps each tuple of messages (one
     block per buyer) to its probability and the conditioned solution; it is
-    built on first read, from the evaluator's cache, so a directly priced
-    message is solved only when something asks for its mechanism.
+    built on first read, from the evaluator, so a directly priced message
+    is solved only when something asks for its mechanism.
     """
 
     expected_revenue: Fraction
@@ -132,11 +132,11 @@ class GameEvaluator:
 
     def __init__(self, inst: DiscreteInstance):
         self.instance = inst
-        # messages -> (prob, solution or None until first read, prob * revenue,
-        # prob * each buyer's surplus, all sold, efficient).  Posted-price
-        # entries hold ints: prob over _w_scale, revenue and surplus over
-        # _scale.  LP entries hold Fractions and _scale is 1, so evaluate
-        # sums both kinds the same way and divides by _scale once.
+        # messages -> (prob, solution, prob * revenue, prob * each buyer's
+        # surplus, all sold, efficient) in Fractions, on the LP path alone.
+        # With one buyer and one good each message is a block of the memo
+        # below instead, in ints: mass over _w_scale, the rest over _scale.
+        # Both scales are 1 on the LP path.
         self._cache: dict[tuple, tuple] = {}
         self._form = inst.ints if inst.n_buyers == 1 and inst.goods == 1 else None
         self._w_scale = self._form.w_scales[0] if self._form else 1
@@ -157,21 +157,21 @@ class GameEvaluator:
         hit = self._cache.get(messages)
         if hit is not None:
             return hit
-        if self._form is not None:
-            mask = sum(map(self._bits.__getitem__, messages[0]))
-            mass = self._block(mask)[0]  # memoises the block for _mask_sums
-            revenue, utilities, _, sold, efficient = self._mask_sums((mask,))
-            entry = (mass, None, revenue, utilities, sold, efficient)
-        else:
-            cond = condition_on_messages(self.instance, messages)
-            prob = Fraction(1)
-            for mass in cond.masses:
-                prob *= mass
-            sol = solve_instance(cond.instance)
-            per_buyer = tuple(prob * u for u in sol.mechanism.per_buyer_surplus())
-            entry = (prob, sol, prob * sol.revenue, per_buyer, *_allocation_flags(sol))
+        cond = condition_on_messages(self.instance, messages)
+        prob = Fraction(1)
+        for mass in cond.masses:
+            prob *= mass
+        sol = solve_instance(cond.instance)
+        per_buyer = tuple(prob * u for u in sol.mechanism.per_buyer_surplus())
+        entry = (prob, sol, prob * sol.revenue, per_buyer, *_allocation_flags(sol))
         self._cache[messages] = entry
         return entry
+
+    def _mask(self, block: Sequence[int]) -> int:
+        """A one-buyer, one-good block's mask over ``_bits``, memoised."""
+        mask = sum(map(self._bits.__getitem__, block))
+        self._block(mask)
+        return mask
 
     def _block(self, mask: int) -> tuple[int, int, tuple[int, int, int]]:
         """A one-buyer, one-good block's ``core.add_lowest_type`` triple,
@@ -222,14 +222,13 @@ class GameEvaluator:
         return (tuple(sorted(map(self._members.__getitem__, masks))),)
 
     def _solution(self, messages: tuple[tuple[int, ...], ...]) -> tuple[Fraction, LPSolution]:
-        """A message tuple's probability and conditioned solution."""
-        entry = self._solve_messages(messages)
-        prob, sol = entry[0], entry[1]
-        if sol is None:
-            prob = Fraction(prob, self._w_scale)
-            sol = solve_instance(condition_on_messages(self.instance, messages).instance)
-            self._cache[messages] = (prob, sol, *entry[2:])
-        return prob, sol
+        """A message tuple's probability and conditioned solution.  A
+        posted-price message's probability is its mass in the block memo, and
+        its mechanism is solved on each read: only reports read it."""
+        if self._form is None:
+            return self._solve_messages(messages)[:2]
+        prob = Fraction(self._blocks[self._mask(messages[0])][0], self._w_scale)
+        return prob, solve_instance(condition_on_messages(self.instance, messages).instance)
 
     def evaluate(self, profile: Sequence[Sequence[Sequence[int]]]) -> GameOutcome:
         inst = self.instance
@@ -249,6 +248,8 @@ class GameEvaluator:
         """A canonical profile's sums over its messages, unchecked and over
         ``_scale``: (revenue, each buyer's utility, total surplus, all sold,
         efficient)."""
+        if self._form is not None:
+            return self._mask_sums(tuple(map(self._mask, profile[0])))
         # the inline get saves a call per cached message: this loop is a search's hot path
         cache, solve = self._cache, self._solve_messages
         revenue = 0
@@ -328,13 +329,15 @@ def _posted_price_totals(
 
     Every block is priced once, in one step: all 2^n - 1 of them up front
     for a full search, which sums its totals while it builds each partition
-    (``set_partition_masks``), and the connected ones on demand.
+    (``set_partition_masks``), and the connected ones on demand, as runs
+    of value ranks from ``compositions``.
     """
     if connected_only:
-        bits, block = evaluator._bits, evaluator._block
+        # value ranks j..i-1, a run of compositions, are the mask (1 << i) - (1 << j)
+        block = evaluator._block
         masks_of = (
-            tuple(sum(map(bits.__getitem__, b)) for b in part)
-            for part in connected_partitions(evaluator.instance, 0)
+            tuple((1 << b[-1] + 1) - (1 << b[0]) for b in blocks)
+            for blocks in compositions(len(evaluator._bits))
         )
         return ((masks, sum(block(m)[2][1] for m in masks)) for masks in masks_of)
     return set_partition_masks(evaluator._bits, evaluator._utilities())
@@ -344,13 +347,12 @@ def _ranking(evaluator: GameEvaluator, connected_only: bool) -> list[tuple[tuple
     """Score every partition profile once and key it for ranking.
 
     Returns one (key, sums) row per profile, unordered.  The key is
-    (-total surplus, profile) with the total an exact int, so the best
-    surplus comes first and exact ties go to the canonically smaller
-    profile: a total order, whatever order the profiles were generated in.
+    (-total surplus, profile) with the total exact, so the best surplus
+    comes first and exact ties go to the canonically smaller profile: a
+    total order, whatever order the profiles were generated in.
     Posted-price totals are ints over the evaluator's scale, and they and
     the sums come from the block memo by mask (``_mask_sums``); LP totals
-    are ``Fraction``s from ``_sums``, brought to int numerators over the
-    lcm of their denominators.
+    are the ``Fraction``s of ``_sums``.
     """
     if evaluator._form is not None:
         scored = [
@@ -366,9 +368,7 @@ def _ranking(evaluator: GameEvaluator, connected_only: bool) -> list[tuple[tuple
         ]
         profiles = list(itertools.product(*per_buyer))
         sums = [evaluator._sums(profile) for profile in profiles]
-        totals = [s[2] for s in sums]
-        scale = lcm(*(t.denominator for t in totals))
-        scored = zip((t.numerator * (scale // t.denominator) for t in totals), profiles, sums)
+        scored = zip((s[2] for s in sums), profiles, sums)
     return [((-t, p), s) for t, p, s in scored]
 
 

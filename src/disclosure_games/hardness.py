@@ -128,7 +128,7 @@ def verify_reduction(pp: PartitionProblem) -> ReductionReport:
         )
     reduced = reduce_to_buyer_opt(pp)
     subset = solve_partition_bruteforce(pp)
-    best_profile, best_outcome = search_best(reduced.instance.to_instance())
+    best_profile, best_outcome = search_best(reduced.instance)
     reaches = best_outcome.total_surplus >= reduced.target
     equivalent = reaches == (subset is not None)
     witness_profile = witness_surplus = pooled_price = None

@@ -582,6 +582,82 @@ class TestGoldenStdout:
             "optimal connected utility: 9/8 (~1.125)\n"
         )
 
+    def test_reduce_out_then_dp_table(self, capsys, tmp_path):
+        # the reduced instance as written to a file, and the DP read back from it
+        target = tmp_path / "red.json"
+        code, out, _ = run(capsys, "reduce", "--sizes", "1,2,3,4,6", "--out", str(target))
+        assert code == 0
+        assert out == (
+            f"# disclosure-games reduce --sizes 1,2,3,4,6 --out {target}\n"
+            "sizes [1, 2, 3, 4, 6], sum 16\n"
+            "surplus target: 31/12 (~2.58333)\n"
+            "type 1 (pool): value 8, prob 1/3\n"
+            "type 2 (size 1): value 79/5, prob 1/24\n"
+            "type 3 (size 2): value 95/6, prob 1/12\n"
+            "type 4 (size 3): value 111/7, prob 1/8\n"
+            "type 5 (size 4): value 127/8, prob 1/6\n"
+            "type 6 (size 6): value 143/9, prob 1/4\n"
+            f"wrote {target}\n"
+        )
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "69243e95ada5210ace0b31a498bd50a2792ea8984410b3add6872142914cc402"
+        )
+        code, out, _ = run(capsys, "dp", "--instance", str(target), "--table")
+        assert code == 0
+        assert out == (
+            f"# disclosure-games dp --instance {target} --table\n"
+            "best over first 0 type(s): 0\n"
+            "best over first 1 type(s): 0\n"
+            "best over first 2 type(s): 13/40\n"
+            "best over first 3 type(s): 44/45\n"
+            "best over first 4 type(s): 4939/2520\n"
+            "best over first 5 type(s): 4939/2520\n"
+            "best over first 6 type(s): 2199/1120\n"
+            "message {8, 79/5, 95/6, 111/7}: price 8, utility 4939/2520\n"
+            "message {127/8, 143/9}: price 127/8, utility 1/288\n"
+            "optimal connected utility: 2199/1120 (~1.96339)\n"
+        )
+
+    def test_search_ten_types_connected_csv(self, capsys, tmp_path):
+        # one buyer, values 3i^2 + 1 and probabilities (i + 1)/55: all 512
+        # connected profiles, ranked off the posted-price block memo
+        doc = {
+            "goods": 1,
+            "buyers": [
+                [{"prob": f"{i + 1}/55", "values": [str(3 * i * i + 1)]} for i in range(10)]
+            ],
+        }
+        path = tmp_path / "ten.json"
+        path.write_text(json.dumps(doc))
+        target = tmp_path / "conn.csv"
+        code, out, _ = run(
+            capsys, "search", "--instance", str(path), "--connected-only", "--out", str(target)
+        )
+        assert code == 0
+        tail = "[6, 7], [8, 9, 10]]]\n"
+        assert out == (
+            f"# disclosure-games search --instance {path} --connected-only --out {target}\n"
+            "searched 512 profiles (connected)\n"
+            "rank 1: total 1701/55 (~30.9273), revenue 5284/55, profile [[[1], [2], [3], [4, 5], " + tail
+            + "rank 2: total 1701/55 (~30.9273), revenue 1049/11, profile [[[1], [2], [3, 4, 5], " + tail
+            + "rank 3: total 1701/55 (~30.9273), revenue 5276/55, profile [[[1], [2, 3], [4, 5], " + tail
+            + "rank 4: total 1701/55 (~30.9273), revenue 5237/55, profile [[[1], [2, 3, 4, 5], " + tail
+            + "rank 5: total 1701/55 (~30.9273), revenue 5283/55, profile [[[1, 2], [3], [4, 5], " + tail
+            + "rank 6: total 1701/55 (~30.9273), revenue 5244/55, profile [[[1, 2], [3, 4, 5], " + tail
+            + "rank 7: total 1701/55 (~30.9273), revenue 1055/11, profile [[[1, 2, 3], [4, 5], " + tail
+            + "rank 8: total 1701/55 (~30.9273), revenue 476/5, profile [[[1, 2, 3, 4, 5], " + tail
+            + "rank 9: total 1596/55 (~29.0182), revenue 5389/55, "
+            "profile [[[1], [2], [3], [4], [5], " + tail
+            + "rank 10: total 1596/55 (~29.0182), revenue 5144/55, "
+            "profile [[[1], [2], [3], [4], [5, 6, 7], [8, 9, 10]]]\n"
+            + f"wrote {target}\n"
+        )
+        csv = target.read_bytes()
+        assert csv.count(b"\n") == 513
+        assert hashlib.sha256(csv).hexdigest() == (
+            "c9f75bbd484314e022ea6818a1ed7b8eeb961515e9be4543cd2339e5d4faef84"
+        )
+
 
 class TestWitnessAndPlot:
     def test_witness_lower_value_wins(self, capsys):

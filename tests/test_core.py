@@ -22,11 +22,21 @@ from disclosure_games.core import (
     parse_instance,
     parse_partition_profile,
     parse_rational,
+    require_exact,
     serialize_instance,
     serialize_partition_profile,
     set_partition_masks,
     validate_partition,
 )
+from disclosure_games.dpconnected import SingleBuyerInstance
+
+
+class ExactInt(int):
+    """An int subclass, as an ``IntEnum`` member is: exact, so accepted."""
+
+
+class ExactFraction(Fraction):
+    """A Fraction subclass: exact, so accepted."""
 
 
 class TestRationals:
@@ -46,6 +56,22 @@ class TestRationals:
     def test_rejects_floats(self):
         with pytest.raises(ValidationError):
             parse_rational(0.5)
+
+    def test_int_and_fraction_subclasses_are_exact(self):
+        # bool is an int subclass too, and stays out
+        three, five, half = ExactInt(3), ExactInt(5), ExactFraction(1, 2)
+        assert parse_rational(half) is half
+        assert parse_rational(three) == 3 and type(parse_rational(three)) is Fraction
+        for x in (three, half):
+            require_exact(x, "x")
+        with pytest.raises(ValidationError, match="^x must be an int or a Fraction, got True$"):
+            require_exact(True, "x")
+        inst = DiscreteInstance(1, ((BuyerType(half, (three,)), BuyerType(half, (five,))),))
+        assert inst == DiscreteInstance.build(1, [[("1/2", "3"), ("1/2", "5")]])
+        single = SingleBuyerInstance((three, five), (half, half))
+        assert single == SingleBuyerInstance.build([("1/2", "3"), ("1/2", "5")])
+        bp = IntervalPartition((ExactInt(0), half, ExactInt(1)))
+        assert bp.blocks() == ((0, Fraction(1, 2)), (Fraction(1, 2), 1))
 
     def test_format(self):
         assert format_rational(Fraction(3, 4)) == "3/4"

@@ -1,10 +1,17 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from disclosure_games import dpconnected
-from disclosure_games.core import GuardExceeded, ValidationError, compositions
+from disclosure_games.core import (
+    BuyerType,
+    DiscreteInstance,
+    GuardExceeded,
+    ValidationError,
+    compositions,
+)
 from disclosure_games.dpconnected import (
     SingleBuyerInstance,
     brute_force_connected,
@@ -64,22 +71,32 @@ class TestInstanceValidation:
         assert inst.values == (F(3), F(5))
 
     def test_round_trip_through_discrete_instance(self):
-        back = SingleBuyerInstance.from_instance(GAP_HALF.to_instance())
-        assert back == GAP_HALF
+        plain = DiscreteInstance(GAP_HALF.goods, GAP_HALF.buyers)
+        assert type(plain) is DiscreteInstance and plain != GAP_HALF  # equality within a class
+        back = SingleBuyerInstance.from_instance(plain)
+        assert back == GAP_HALF and type(back) is SingleBuyerInstance
 
     def test_int_form_is_the_instances_and_stays_out_of_eq_hash_repr(self):
-        assert GAP_HALF.ints == GAP_HALF.to_instance().ints
+        assert GAP_HALF.ints == DiscreteInstance(GAP_HALF.goods, GAP_HALF.buyers).ints
         twin = SingleBuyerInstance(GAP_HALF.values, GAP_HALF.probs)
-        assert twin == GAP_HALF and hash(twin) == hash(GAP_HALF)
+        assert twin is not GAP_HALF and twin.ints is not GAP_HALF.ints
+        assert twin == GAP_HALF and hash(twin) == hash(GAP_HALF) and repr(twin) == repr(GAP_HALF)
         assert "ints" not in repr(GAP_HALF)
 
     def test_keeps_the_one_discrete_instance_it_validated(self):
+        # the refinement is itself the checked instance: no second one inside it
         inst = SingleBuyerInstance.build([("1/3", "2"), ("1/6", "1"), ("1/2", "7/2")])
-        assert inst.to_instance() is inst.to_instance()
-        assert inst.ints is inst.to_instance().ints
-        twin = SingleBuyerInstance.build([("1/3", "2"), ("1/6", "1"), ("1/2", "7/2")])
-        assert twin.to_instance() is not inst.to_instance()
-        assert twin == inst and hash(twin) == hash(inst) and repr(twin) == repr(inst)
+        assert isinstance(inst, DiscreteInstance)
+        assert (inst.goods, inst.n_buyers, inst.n) == (1, 1, 3)
+        assert inst.buyers == ((BuyerType(F(1, 6), (F(1),)), BuyerType(F(1, 3), (F(2),)),
+                                BuyerType(F(1, 2), (F(7, 2),))),)
+        assert (inst.values, inst.probs) == ((F(1), F(2), F(7, 2)), (F(1, 6), F(1, 3), F(1, 2)))
+        assert [f.name for f in fields(inst)] == ["goods", "buyers", "ints"]
+        assert repr(inst) == (
+            "SingleBuyerInstance(goods=1, buyers=((BuyerType(prob=Fraction(1, 6), "
+            "values=(Fraction(1, 1),)), BuyerType(prob=Fraction(1, 3), values=(Fraction(2, 1),)), "
+            "BuyerType(prob=Fraction(1, 2), values=(Fraction(7, 2),))),))"
+        )
 
 
 class TestBuyerUtility:
@@ -224,7 +241,7 @@ class TestAgainstUnconstrainedSearch:
         for _ in range(15):
             inst = rand_single_buyer(rng, max_n=5)
             _, connected_value = optimal_connected(inst)
-            results = search_profiles(inst.to_instance())
+            results = search_profiles(inst)
             assert connected_value <= results[0][1].total_surplus
 
     def test_lp_game_agrees_with_posted_price_oracle(self):
@@ -232,7 +249,7 @@ class TestAgainstUnconstrainedSearch:
         rng = random.Random(31337)
         for _ in range(15):
             inst = rand_single_buyer(rng, max_n=6)
-            results = search_profiles(inst.to_instance(), connected_only=True)
+            results = search_profiles(inst, connected_only=True)
             best_lp = results[0][1].total_surplus
             _, dp_value = optimal_connected(inst)
             assert best_lp == dp_value

@@ -320,7 +320,7 @@ class TestSearchAgainstEvaluate:
             MENU_FOUR_TYPES,
             TWO_BUYERS_123,
             *(
-                reduce_to_buyer_opt(PartitionProblem(sizes)).instance.to_instance()
+                reduce_to_buyer_opt(PartitionProblem(sizes)).instance
                 for sizes in ((1, 1), (1, 2, 3), (2, 2, 4))
             ),
         ],
@@ -349,7 +349,7 @@ class TestSearchBest:
     def test_is_the_first_ranked_row(self, connected_only):
         instances = [AUCTION_123, MENU_FOUR_TYPES, TWO_BUYERS_123]
         instances += [
-            reduce_to_buyer_opt(pp).instance.to_instance() for pp in sweep_size_lists(4, 6)
+            reduce_to_buyer_opt(pp).instance for pp in sweep_size_lists(4, 6)
         ]
         assert len(instances) == 3 + 109
         for inst in instances:
@@ -378,7 +378,7 @@ class TestSearchBestTheorems:
         are listed out of value order."""
         singles = [reduce_to_buyer_opt(pp).instance for pp in sweep_size_lists(4, 6)]
         assert len(singles) == 109
-        found = [(single.to_instance(), single) for single in singles]
+        found = [(single, single) for single in singles]
         pool = sorted({F(k, d) for k in range(1, 25) for d in (1, 3)})
         rng = random.Random(7)
         for _ in range(150):
@@ -489,25 +489,27 @@ class TestPostedPriceEntries:
 
     def assert_entries_match(self, inst):
         evaluator = GameEvaluator(inst)
+        w_scale, scale = evaluator._w_scale, evaluator._scale
         for block in every_message(inst):
-            messages = (block,)
-            prob, sol, rev, utilities, sold, eff = evaluator._solve_messages(messages)
-            assert sol is None
+            # each block's entry as the block memo holds it
+            mask = evaluator._mask(block)
+            mass = evaluator._blocks[mask][0]
+            rev, utilities, _, sold, eff = evaluator._mask_sums((mask,))
             # int numerators: the mass over W, revenue and utility over V W
-            w_scale, scale = evaluator._w_scale, evaluator._scale
-            assert all(type(x) is int for x in (prob, rev, *utilities))
+            assert all(type(x) is int for x in (mass, rev, *utilities))
             got = (
-                Fraction(prob, w_scale),
+                Fraction(mass, w_scale),
                 Fraction(rev, scale),
                 tuple(Fraction(u, scale) for u in utilities),
                 sold,
                 eff,
             )
-            assert got == self.conditioned_entry(inst, messages)
+            assert got == self.conditioned_entry(inst, (block,))
+        assert not evaluator._cache  # the message cache holds LP entries only
 
     def test_every_reduction_message(self):
         for pp in sweep_size_lists(3, 4):
-            self.assert_entries_match(reduce_to_buyer_opt(pp).instance.to_instance())
+            self.assert_entries_match(reduce_to_buyer_opt(pp).instance)
 
     def test_seeded_corpus(self):
         corpus = one_buyer_corpus()
@@ -532,7 +534,7 @@ class TestPostedPriceEntries:
         # call walks down to the empty block, and in one ascending pass over
         # all masks as a full search prices them
         instances = one_buyer_corpus() + [
-            reduce_to_buyer_opt(pp).instance.to_instance() for pp in sweep_size_lists(4, 6)
+            reduce_to_buyer_opt(pp).instance for pp in sweep_size_lists(4, 6)
         ]
         assert len(instances) == 43 + 109
         for inst in instances:

@@ -217,7 +217,7 @@ class TestPivotSequence:
             (uniform_grid_instance(4, 3), (222, 222)),
             (AUCTION_123, (41, 44)),
             (MENU_FOUR_TYPES, (13, 13)),
-            (reduce_to_buyer_opt(PartitionProblem((2, 2, 4))).instance.to_instance(), (14, 14)),
+            (reduce_to_buyer_opt(PartitionProblem((2, 2, 4))).instance, (14, 14)),
         ],
         ids=["grid-5", "grid-4-three-buyers", "auction-123", "menu-four-types",
              "reduction-2-2-4"],
@@ -853,13 +853,12 @@ class TestPostedPriceShortcut:
 
     def test_every_message_of_the_reductions(self):
         for pp in sweep_size_lists(3, 4):
-            single = reduce_to_buyer_opt(pp).instance
-            inst = single.to_instance()
-            for size in range(1, single.n + 1):
-                for msg in itertools.combinations(range(single.n), size):
+            inst = reduce_to_buyer_opt(pp).instance
+            for size in range(1, inst.n + 1):
+                for msg in itertools.combinations(range(inst.n), size):
                     cond = condition_on_messages(inst, [msg])
                     sol = self.assert_matches_lp(cond.instance)
-                    utility, _ = buyer_utility(single, msg)
+                    utility, _ = buyer_utility(inst, msg)
                     assert utility == cond.masses[0] * sol.buyer_surplus
 
 

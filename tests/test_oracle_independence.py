@@ -10,7 +10,10 @@ pair's allow-list, each entry with its reason.
 import sys
 from pathlib import Path
 
+import pytest
+
 from disclosure_games import core
+from disclosure_games.acceptance import AUCTION_123
 from disclosure_games.dpconnected import (
     SingleBuyerInstance,
     brute_force_connected,
@@ -23,6 +26,8 @@ from disclosure_games.hardness import (
     reduce_to_buyer_opt,
     solve_partition_bruteforce,
 )
+from disclosure_games.lpmech import solve_instance, uniform_grid_instance
+from disclosure_games.myerson import myerson_optimum
 
 SRC = Path(core.__file__).resolve().parent
 
@@ -58,17 +63,13 @@ def executed(run) -> set[str]:
 
 # verify_reduction's two sides: the profile search over the reduced game,
 # and the subset brute force with the pooled witness priced by buyer_utility
-INT_FORM = (
-    "the instance's exact int form, a change of representation that "
-    "prices nothing; TestIntForm reads every Fraction back from it"
-)
-REDUCTION_ALLOWED = {"core.DiscreteInstance.ints": INT_FORM}
+REDUCTION_ALLOWED: dict[str, str] = {}
 
 
-def test_reduction_search_and_its_oracle_share_only_the_int_form():
+def test_reduction_search_and_its_oracle_share_nothing():
     pp = PartitionProblem((1, 2, 3, 4, 6))
-    # a reduction of its own for each side, so each builds its int form
-    searched = reduce_to_buyer_opt(pp).instance.to_instance()
+    # a reduction of its own for each side, each built and validated before the trace
+    searched = reduce_to_buyer_opt(pp).instance
     search = executed(lambda: search_best(searched))
 
     reduced = reduce_to_buyer_opt(pp)
@@ -91,19 +92,15 @@ def test_reduction_search_and_its_oracle_share_only_the_int_form():
 # and the brute force over compositions, which prices every block on its
 # own through buyer_utility
 CONNECTED_ALLOWED = {
-    "core.DiscreteInstance.ints": INT_FORM,
-    "dpconnected.SingleBuyerInstance.ints": (
-        "returns the wrapped DiscreteInstance's int form, the entry above"
-    ),
     "dpconnected.SingleBuyerInstance.n": (
-        "the number of types, len(values): it sizes both searches and prices nothing"
+        "the number of types, len(buyers[0]): it sizes both searches and prices nothing"
     ),
 }
 
 
 def test_connected_dp_and_its_brute_force_share_only_the_instance():
     pairs = [("1/8", v) for v in (3, 1, 4, 15, 9, 2, 6, 5)]
-    # an instance of its own for each side, so each builds its int form
+    # an instance of its own for each side, each built and validated before the trace
     for_dp, for_brute = SingleBuyerInstance.build(pairs), SingleBuyerInstance.build(pairs)
     dp = executed(lambda: optimal_connected(for_dp))
     brute = executed(lambda: brute_force_connected(for_brute))
@@ -113,3 +110,20 @@ def test_connected_dp_and_its_brute_force_share_only_the_instance():
     # brute force prices every block through the posted-price pass
     assert "core.add_lowest_type" in dp - brute
     assert {"dpconnected.buyer_utility", "lpmech.best_posted_price"} <= brute - dp
+
+
+# the closed-form Myerson auction against the mechanism LP, on two-buyer,
+# one-good instances: the closed form loops over joint types itself
+MYERSON_ALLOWED: dict[str, str] = {}
+
+
+@pytest.mark.parametrize(
+    "inst", [AUCTION_123, uniform_grid_instance(4)], ids=["auction-123", "grid-4"]
+)
+def test_myerson_closed_form_and_the_lp_share_nothing(inst):
+    closed = executed(lambda: myerson_optimum(inst))
+    lp = executed(lambda: solve_instance(inst))
+    shared = closed & lp
+    assert shared <= set(MYERSON_ALLOWED), sorted(shared - set(MYERSON_ALLOWED))
+    assert "myerson.ironed_virtual_values" in closed - lp
+    assert {"lpmech.build_lp", "simplex.ExactSimplex.solve_lexicographic"} <= lp - closed

@@ -127,6 +127,16 @@ class TestMyersonOutcome:
         out = myerson_outcome(segment("1/3", "1/3"), segment("2/3", "2/3"), F(1, 3), F(2, 3))
         assert out.winner == "B" and out.payment == F(2, 3)
 
+    @pytest.mark.parametrize(
+        "a, b, winner, payment",
+        [("2/3", "1/3", "A", "2/3"), ("1/3", "2/3", "B", "2/3"), ("1/2", "1/2", "A", "1/2")],
+        ids=["a-above", "a-below", "tie-to-a"],
+    )
+    def test_two_point_masses_sell_to_the_higher_value(self, a, b, winner, payment):
+        # each buyer's value is known, so the seller sells at it; a tie goes to A
+        out = myerson_outcome(segment(a, a), segment(b, b), F(a), F(b))
+        assert (out.winner, out.payment) == (winner, F(payment))
+
     def test_winner_never_pays_above_value(self):
         rng = random.Random(11)
         for _ in range(300):
