@@ -59,6 +59,14 @@ MUTANTS = (
         "a flooring clip_halfplane crossing",
     ),
     Mutant(
+        "src/disclosure_games/geometry.py",
+        "if len(dedup) > 1 and dedup[0] == dedup[-1]:",
+        "if len(dedup) >= 1 and dedup[0] == dedup[-1]:",
+        "tests/test_uniform2.py::TestGeometryInputs::"
+        "test_a_triangle_touching_the_line_clips_to_that_vertex",
+        "clip_halfplane drops the one vertex a polygon keeps",
+    ),
+    Mutant(
         "src/disclosure_games/game.py",
         "self._scale = self._form.v_scale * self._w_scale if self._form else 1",
         "self._scale = self._w_scale if self._form else 1",
@@ -67,8 +75,8 @@ MUTANTS = (
     ),
     Mutant(
         "src/disclosure_games/game.py",
-        "return [((-t, p), s) for t, p, s in scored]",
-        "return [((t, p), s) for t, p, s in scored]",
+        "return [((-s[2], evaluator._profile(masks)), s) for masks, s in scored]",
+        "return [((s[2], evaluator._profile(masks)), s) for masks, s in scored]",
         "tests/test_game.py::TestSearch::test_no_disclosure_ranks_strictly_first",
         "search_profiles ranks the worst surplus first",
     ),
@@ -85,6 +93,20 @@ MUTANTS = (
         "masks = max(tied, key=evaluator._profile)",
         "tests/test_game.py::TestSearchBest::test_is_the_first_ranked_row",
         "search_best breaks a posted-price surplus tie toward the larger profile",
+    ),
+    Mutant(
+        "src/disclosure_games/game.py",
+        "if inst.n_buyers > 1 or connected_only:",
+        "if inst.n_buyers > 2 or connected_only:",
+        "tests/test_game.py::TestSearchBest::test_is_the_first_ranked_row",
+        "search_best walks one buyer's blocks on a two-buyer instance",
+    ),
+    Mutant(
+        "src/disclosure_games/game.py",
+        "messages = tuple(members[m] for members, m in zip(self._members, masks))",
+        "messages = tuple(members[m] for members, m in zip(self._members[::-1], masks))",
+        "tests/test_census.py::test_slice_matches_its_pinned_digest",
+        "an LP entry renders each buyer's mask through the other buyer's member table",
     ),
     # the posted-price block step, the connected DP's tie rule and the running
     # partition totals

@@ -340,8 +340,11 @@ def set_partition_masks(
     partitions of the first k elements are built as a list from those of
     k - 1, on the call, and the last element's are made as the iterator is
     read, so at most the partitions of len(bits) - 1 elements are held.
-    Guarded like ``enumerate_set_partitions``, on the call; no elements
-    have one partition, the empty one.
+    Guarded on the call, because the count is the Bell number (B(12) is
+    about 4.2 million; anything beyond that is a mistake, not a workload);
+    no elements have one partition, the empty one.  The game layer's
+    searches walk these masks, and ``mask_members`` reads them as type
+    indices.
     """
     if len(bits) > SET_PARTITION_GUARD:
         raise GuardExceeded(
@@ -381,25 +384,6 @@ def add_lowest_type(block: tuple, value: int, weight: int) -> tuple[int, int, tu
     weighted += weight * value
     candidate = (value * mass, weighted - value * mass, value)
     return mass, weighted, candidate if best is None or candidate > best else best
-
-
-def enumerate_set_partitions(n: int) -> Iterator[SetPartition]:
-    """Yield every set partition of {0..n-1} in canonical order.
-
-    Canonical order: partitions generated by assigning each element either
-    to an existing block or to a fresh one, blocks kept sorted by least
-    element.  This is the tuple view of ``set_partition_masks`` with
-    element i on bit i, each block read from a table of every mask's
-    members.  Guarded because the count is the Bell number (B(12) is about
-    4.2 million; anything beyond that is a mistake, not a workload).  n = 0
-    has one partition, the empty one.
-    """
-    _require_size(n)
-    bits = [1 << i for i in range(n)]
-    partitions = set_partition_masks(bits)  # checks the guard before any table is built
-    members = mask_members(bits).__getitem__
-    for masks, _ in partitions:
-        yield tuple(map(members, masks))
 
 
 def compositions(n: int) -> Iterator[SetPartition]:

@@ -8,36 +8,35 @@ evaluates a partition profile from one cached entry per tuple of
 messages, aggregated with exact block probabilities, and searches all
 partition profiles for the buyer-optimal one.
 
-With one buyer and one good, a message lives in one place: a memo of
-blocks on the instance's int form (``DiscreteInstance.ints``: values over
-V, probabilities over W).  Each type holds one bit, by value rank, and
-the evaluator prices each block mask in one step from the block without
-its lowest-valued type (``core.add_lowest_type``), memoising its mass
-over W and its best posted price's revenue and utility over V W for
-``evaluate`` and both searches.  A profile sums its blocks as ints, and
-its three ``Fraction``s are built only with its ``GameOutcome``.  Every
-other instance conditions on the messages and solves the exact LP
-(``lpmech.solve_instance``), caching one ``Fraction`` entry per message
-tuple.  ``GameOutcome``'s ``per_message`` solutions are built on first
-read; a posted-price message's probability comes off the memo and its
-mechanism is solved through ``solve_instance`` on each such read.
+Every message is a block mask: each of buyer j's types holds one bit, by
+its rank in ``DiscreteInstance.ints.orders[j]`` (value order,
+lexicographic for several goods), so a profile is one tuple of block
+masks per buyer and a message tuple one mask per buyer.  Two block
+pricers sit behind those keys.  With one buyer and one good, a memo of
+blocks on the instance's int form (values over V, probabilities over W)
+prices each mask in one step from the block without its lowest-valued
+type (``core.add_lowest_type``): its mass over W and its best posted
+price's revenue and utility over V W, summed as ints.  Every other
+instance renders each message tuple's masks to type indices, conditions
+on them and solves the exact LP (``lpmech.solve_instance``), caching one
+``Fraction`` entry per mask tuple.  A profile's three ``Fraction``s are
+built only with its ``GameOutcome``, whose ``per_message`` solutions are
+built on first read; a posted-price message's probability comes off the
+memo and its mechanism is solved through ``solve_instance`` on each such
+read.
 
-Message tuples repeat across profiles, so an evaluator instance memoises
-its entries; a full search over an instance touches each distinct
-message tuple once.  ``GameEvaluator.evaluate`` checks and canonicalises
-the profile it is given, then scores it.  A search ranks every profile on
-(-total surplus, profile) with the total exact, and builds a
-``GameOutcome`` only for a row that is read: ``search_profiles`` builds
-every row, ``search_best`` the best one alone.  On the posted-price path
-a full search prices all 2^n - 1 blocks, one step each, then walks the
-set partitions as tuples of block masks (``core.set_partition_masks``),
-each total an int over V W kept while its partition is built; a
-connected search takes its masks straight from the compositions of the
-value ranks.  Canonical profiles and sums (off the block memo) are built
-only for rows that are read, and ``search_best`` even masks only for
-ties.  On the LP path a search generates canonical profiles and scores
-each one once through the scoring loop of ``evaluate``, without its
-check, and ranks on the ``Fraction`` totals.
+Message tuples repeat across profiles, so an evaluator memoises its
+entries; a full search touches each distinct message tuple once.
+``GameEvaluator.evaluate`` checks and canonicalises the profile it is
+given, turns it into masks and scores it.  A search walks every buyer's
+partitions as tuples of block masks (``core.set_partition_masks``, or for
+a connected search the compositions of the value ranks), scores each
+profile of their product once, and ranks it on (-total surplus,
+canonical profile) with the total exact.  It builds a ``GameOutcome``
+only for a row that is read: ``search_profiles`` builds every row,
+``search_best`` the best one alone.  With one buyer a profile's total is
+additive over blocks, so a full ``search_best`` scores each block once
+and builds masks only for ties.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
     DiscreteInstance,
@@ -57,10 +56,8 @@ from .core import (
     ValidationError,
     add_lowest_type,
     bell_number,
-    canonical_partition,
     compositions,
     condition_on_messages,
-    enumerate_set_partitions,
     format_rational,
     is_sequence,
     mask_members,
@@ -132,31 +129,38 @@ class GameEvaluator:
 
     def __init__(self, inst: DiscreteInstance):
         self.instance = inst
-        # messages -> (prob, solution, prob * revenue, prob * each buyer's
-        # surplus, all sold, efficient) in Fractions, on the LP path alone.
-        # With one buyer and one good each message is a block of the memo
-        # below instead, in ints: mass over _w_scale, the rest over _scale.
-        # Both scales are 1 on the LP path.
-        self._cache: dict[tuple, tuple] = {}
-        self._form = inst.ints if inst.n_buyers == 1 and inst.goods == 1 else None
+        form = inst.ints
+        # bit r of buyer j's masks is the type of r-th lowest value vector
+        # (lexicographic for several goods), so a one-good block's
+        # lowest-valued type is its mask's lowest set bit
+        self._bits = []
+        for order in form.orders:
+            bits = [0] * len(order)
+            for r, i in enumerate(order):
+                bits[i] = 1 << r
+            self._bits.append(bits)
+        # block masks, one per buyer -> (prob, solution, prob * revenue, prob *
+        # each buyer's surplus, all sold, efficient) in Fractions, on the LP
+        # path alone.  With one buyer and one good each message is a block of
+        # the memo below instead, in ints: mass over _w_scale, the rest over
+        # _scale.  Both scales are 1 on the LP path.
+        self._cache: dict[tuple[int, ...], tuple] = {}
+        self._form = form if inst.n_buyers == 1 and inst.goods == 1 else None
         self._w_scale = self._form.w_scales[0] if self._form else 1
         self._scale = self._form.v_scale * self._w_scale if self._form else 1
         if self._form is not None:
-            # bit r is the type of r-th lowest value, so a block's lowest-valued
-            # type is its mask's lowest set bit
-            order, values, probs = self._form.orders[0], self._form.values[0], self._form.probs[0]
+            order, values, probs = form.orders[0], form.values[0], form.probs[0]
             self._ranked = [(values[i][0], probs[i]) for i in order]
-            self._bits = [0] * len(order)
-            for r, i in enumerate(order):
-                self._bits[i] = 1 << r
             # block mask -> (mass over W, value-weighted mass over V W, best
             # (revenue, utility, price) or None for the empty block)
             self._blocks: dict[int, tuple] = {0: (0, 0, None)}
 
-    def _solve_messages(self, messages: tuple[tuple[int, ...], ...]):
-        hit = self._cache.get(messages)
+    def _entry(self, masks: tuple[int, ...]):
+        """The LP entry of a message tuple, one block mask per buyer, memoised."""
+        hit = self._cache.get(masks)
         if hit is not None:
             return hit
+        messages = tuple(members[m] for members, m in zip(self._members, masks))
         cond = condition_on_messages(self.instance, messages)
         prob = Fraction(1)
         for mass in cond.masses:
@@ -164,19 +168,13 @@ class GameEvaluator:
         sol = solve_instance(cond.instance)
         per_buyer = tuple(prob * u for u in sol.mechanism.per_buyer_surplus())
         entry = (prob, sol, prob * sol.revenue, per_buyer, *_allocation_flags(sol))
-        self._cache[messages] = entry
+        self._cache[masks] = entry
         return entry
-
-    def _mask(self, block: Sequence[int]) -> int:
-        """A one-buyer, one-good block's mask over ``_bits``, memoised."""
-        mask = sum(map(self._bits.__getitem__, block))
-        self._block(mask)
-        return mask
 
     def _block(self, mask: int) -> tuple[int, int, tuple[int, int, int]]:
         """A one-buyer, one-good block's ``core.add_lowest_type`` triple,
-        memoised by mask over ``_bits``: one step from the block without its
-        lowest-valued type, B & (B - 1), memoised first."""
+        memoised by mask: one step from the block without its lowest-valued
+        type, B & (B - 1), memoised first."""
         blocks = self._blocks
         chain = []
         rest = mask
@@ -194,40 +192,35 @@ class GameEvaluator:
             low = mask & -mask
             blocks[mask] = add_lowest_type(blocks[mask ^ low], *ranked[low.bit_length() - 1])
 
-    def _utilities(self) -> list[int]:
-        """Prices all 2^n - 1 blocks; each one's utility over V W, by mask (0 empty)."""
-        full = range(1, 1 << len(self._bits))
+    def _block_scores(self) -> list:
+        """One buyer: every block's total surplus over ``_scale``, by mask (0
+        the empty block), all 2^n - 1 blocks priced."""
+        full = range(1, 1 << len(self._bits[0]))
+        if self._form is None:
+            return [0] + [self._entry((m,))[3][0] for m in full]
         self._price(full)
         return [0] + [self._blocks[m][2][1] for m in full]
 
-    def _mask_sums(self, masks: tuple[int, ...]) -> tuple:
-        """``_sums`` of a one-buyer, one-good partition as block masks, from the memo."""
-        revenue = utility = 0
-        sold = True
-        for mask in masks:
-            _, _, (rev, util, price) = self._blocks[mask]
-            revenue += rev
-            utility += util
-            # all sold (with one buyer, efficient too) when priced at its lowest value
-            sold = sold and rev > 0 and price == self._ranked[(mask & -mask).bit_length() - 1][0]
-        return revenue, (utility,), utility, sold, sold
-
     @cached_property
-    def _members(self) -> list[tuple[int, ...]]:
-        """Each block mask's sorted type indices, indexed by mask."""
-        return mask_members(self._bits)
+    def _members(self) -> list[list[tuple[int, ...]]]:
+        """Per buyer, each block mask's sorted type indices, indexed by mask."""
+        return [mask_members(bits) for bits in self._bits]
 
-    def _profile(self, masks: tuple[int, ...]) -> tuple[SetPartition, ...]:
-        """The canonical one-buyer profile of a partition given as block masks."""
-        return (tuple(sorted(map(self._members.__getitem__, masks))),)
+    def _profile(self, masks: tuple[tuple[int, ...], ...]) -> tuple[SetPartition, ...]:
+        """The canonical profile of block masks, one tuple per buyer."""
+        return tuple(
+            tuple(sorted(map(members.__getitem__, part)))
+            for members, part in zip(self._members, masks)
+        )
 
     def _solution(self, messages: tuple[tuple[int, ...], ...]) -> tuple[Fraction, LPSolution]:
         """A message tuple's probability and conditioned solution.  A
         posted-price message's probability is its mass in the block memo, and
         its mechanism is solved on each read: only reports read it."""
+        masks = tuple(sum(map(bits.__getitem__, block)) for bits, block in zip(self._bits, messages))
         if self._form is None:
-            return self._solve_messages(messages)[:2]
-        prob = Fraction(self._blocks[self._mask(messages[0])][0], self._w_scale)
+            return self._entry(masks)[:2]
+        prob = Fraction(self._block(masks[0])[0], self._w_scale)
         return prob, solve_instance(condition_on_messages(self.instance, messages).instance)
 
     def evaluate(self, profile: Sequence[Sequence[Sequence[int]]]) -> GameOutcome:
@@ -242,22 +235,35 @@ class GameEvaluator:
         profile = tuple(
             validate_partition(part, inst.n_types(j)) for j, part in enumerate(profile)
         )
-        return self._outcome(profile, self._sums(profile))
+        masks = tuple(
+            tuple(sum(map(bits.__getitem__, block)) for block in part)
+            for bits, part in zip(self._bits, profile)
+        )
+        return self._outcome(profile, self._sums(masks))
 
-    def _sums(self, profile: tuple[SetPartition, ...]) -> tuple:
-        """A canonical profile's sums over its messages, unchecked and over
-        ``_scale``: (revenue, each buyer's utility, total surplus, all sold,
-        efficient)."""
+    def _sums(self, masks: tuple[tuple[int, ...], ...]) -> tuple:
+        """A profile's sums over its messages, from its block masks (one
+        tuple per buyer), over ``_scale``: (revenue, each buyer's utility,
+        total surplus, all sold, efficient)."""
         if self._form is not None:
-            return self._mask_sums(tuple(map(self._mask, profile[0])))
+            blocks, block = self._blocks, self._block
+            revenue = utility = 0
+            sold = True
+            for mask in masks[0]:
+                _, _, (rev, util, price) = blocks.get(mask) or block(mask)
+                revenue += rev
+                utility += util
+                # all sold (with one buyer, efficient too) when priced at its lowest value
+                sold = sold and rev > 0 and price == self._ranked[(mask & -mask).bit_length() - 1][0]
+            return revenue, (utility,), utility, sold, sold
         # the inline get saves a call per cached message: this loop is a search's hot path
-        cache, solve = self._cache, self._solve_messages
+        cache, entry = self._cache, self._entry
         revenue = 0
-        per_buyer = [0] * len(profile)
+        per_buyer = [0] * len(masks)
         always_all_sold = True
         efficient = True
-        for messages in itertools.product(*profile):
-            _, _, rev, utilities, sold, eff = cache.get(messages) or solve(messages)
+        for key in itertools.product(*masks):
+            _, _, rev, utilities, sold, eff = cache.get(key) or entry(key)
             revenue += rev
             for j, u in enumerate(utilities):
                 per_buyer[j] += u
@@ -294,20 +300,6 @@ def full_disclosure_profile(inst: DiscreteInstance) -> tuple[SetPartition, ...]:
     )
 
 
-def connected_partitions(inst: DiscreteInstance, j: int) -> list[SetPartition]:
-    """Partitions of buyer j's types into blocks contiguous in value order.
-
-    Types are ordered by their value vectors (lexicographically for several
-    goods); a partition is connected when each block is a run of that
-    order.  There are 2^(n-1) of them.
-    """
-    order = inst.ints.orders[j]
-    return [
-        canonical_partition([order[i] for i in block] for block in blocks)
-        for blocks in compositions(len(order))
-    ]
-
-
 def _search_evaluator(inst: DiscreteInstance, connected_only: bool) -> GameEvaluator:
     """A fresh evaluator for a profile search, after the profile count, a
     product of Bell numbers (2^(n-1) per buyer when ``connected_only``), is
@@ -321,55 +313,29 @@ def _search_evaluator(inst: DiscreteInstance, connected_only: bool) -> GameEvalu
     return GameEvaluator(inst)
 
 
-def _posted_price_totals(
-    evaluator: GameEvaluator, connected_only: bool
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every one-buyer, one-good profile as (block masks, total surplus),
-    the total an int over the evaluator's scale.
-
-    Every block is priced once, in one step: all 2^n - 1 of them up front
-    for a full search, which sums its totals while it builds each partition
-    (``set_partition_masks``), and the connected ones on demand, as runs
-    of value ranks from ``compositions``.
-    """
-    if connected_only:
-        # value ranks j..i-1, a run of compositions, are the mask (1 << i) - (1 << j)
-        block = evaluator._block
-        masks_of = (
-            tuple((1 << b[-1] + 1) - (1 << b[0]) for b in blocks)
-            for blocks in compositions(len(evaluator._bits))
-        )
-        return ((masks, sum(block(m)[2][1] for m in masks)) for masks in masks_of)
-    return set_partition_masks(evaluator._bits, evaluator._utilities())
-
-
 def _ranking(evaluator: GameEvaluator, connected_only: bool) -> list[tuple[tuple, tuple]]:
     """Score every partition profile once and key it for ranking.
 
     Returns one (key, sums) row per profile, unordered.  The key is
     (-total surplus, profile) with the total exact, so the best surplus
     comes first and exact ties go to the canonically smaller profile: a
-    total order, whatever order the profiles were generated in.
-    Posted-price totals are ints over the evaluator's scale, and they and
-    the sums come from the block memo by mask (``_mask_sums``); LP totals
-    are the ``Fraction``s of ``_sums``.
+    total order, whatever order the profiles were generated in.  Each
+    buyer's partitions are tuples of block masks: its set partitions
+    (``set_partition_masks``) or, when ``connected_only``, the compositions
+    of its value ranks; a profile is one from each buyer.
     """
-    if evaluator._form is not None:
-        scored = [
-            (total, evaluator._profile(masks), evaluator._mask_sums(masks))
-            for masks, total in _posted_price_totals(evaluator, connected_only)
+    per_buyer = [
+        [
+            # value ranks j..i-1, a run of compositions, are the mask (1 << i) - (1 << j)
+            tuple((1 << b[-1] + 1) - (1 << b[0]) for b in blocks)
+            for blocks in compositions(len(bits))
         ]
-    else:
-        inst = evaluator.instance
-        per_buyer = [
-            connected_partitions(inst, j) if connected_only
-            else enumerate_set_partitions(inst.n_types(j))
-            for j in range(inst.n_buyers)
-        ]
-        profiles = list(itertools.product(*per_buyer))
-        sums = [evaluator._sums(profile) for profile in profiles]
-        scored = zip((s[2] for s in sums), profiles, sums)
-    return [((-t, p), s) for t, p, s in scored]
+        if connected_only
+        else [masks for masks, _ in set_partition_masks(bits)]
+        for bits in evaluator._bits
+    ]
+    scored = [(masks, evaluator._sums(masks)) for masks in itertools.product(*per_buyer)]
+    return [((-s[2], evaluator._profile(masks)), s) for masks, s in scored]
 
 
 def search_profiles(
@@ -393,28 +359,29 @@ def search_best(
 ) -> tuple[tuple[SetPartition, ...], GameOutcome]:
     """``search_profiles(inst, connected_only)[0]``, building one ``GameOutcome``.
 
-    A full posted-price search places the last type inline, in
-    ``set_partition_masks``' order, into each partition of the others, so
-    it builds Bell(n - 1) mask tuples and the ties at the best total, not
-    Bell(n).  Other searches take the least row of ``_ranking``.
+    With one buyer the total is additive over blocks, so a full search
+    scores each block once (``_block_scores``) and places the last type
+    inline, in ``set_partition_masks``' order, into each partition of the
+    others: it builds Bell(n - 1) mask tuples and the ties at the best
+    total, not Bell(n).  Other searches take the least row of ``_ranking``.
     """
     evaluator = _search_evaluator(inst, connected_only)
-    if evaluator._form is None or connected_only:
+    if inst.n_buyers > 1 or connected_only:
         key, sums = min(_ranking(evaluator, connected_only), key=itemgetter(0))
         return key[1], evaluator._outcome(key[1], sums)
     best, tied = -1, []  # a total is a sum of utilities, never negative
-    score = evaluator._utilities()
-    *bits, last = evaluator._bits
+    score = evaluator._block_scores()
+    *bits, last = evaluator._bits[0]
     for masks, total in set_partition_masks(bits, score):
         for k, m in enumerate(masks + (0,)):
             placed = total + score[m | last] - score[m]
             if placed >= best:
                 if placed > best:
                     best, tied = placed, []
-                tied.append(masks[:k] + (m | last,) + masks[k + 1 :])
+                tied.append((masks[:k] + (m | last,) + masks[k + 1 :],))
     masks = min(tied, key=evaluator._profile)
     profile = evaluator._profile(masks)
-    return profile, evaluator._outcome(profile, evaluator._mask_sums(masks))
+    return profile, evaluator._outcome(profile, evaluator._sums(masks))
 
 
 def search_to_csv(results: Sequence[tuple[tuple[SetPartition, ...], GameOutcome]]) -> str:

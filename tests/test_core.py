@@ -16,7 +16,6 @@ from disclosure_games.core import (
     bell_number,
     compositions,
     condition_on_messages,
-    enumerate_set_partitions,
     format_rational,
     mask_members,
     parse_instance,
@@ -29,6 +28,7 @@ from disclosure_games.core import (
     validate_partition,
 )
 from disclosure_games.dpconnected import SingleBuyerInstance
+from reference import set_partitions
 
 
 class ExactInt(int):
@@ -268,10 +268,18 @@ class TestValidationOracle:
             assert str(info.value) == message
 
 
+def rendered_partitions(n):
+    """``set_partition_masks`` over elements 0..n-1 on bits 1 << i, each
+    partition's blocks read back as type indices through ``mask_members``."""
+    bits = [1 << i for i in range(n)]
+    members = mask_members(bits)
+    return [tuple(map(members.__getitem__, masks)) for masks, _ in set_partition_masks(bits)]
+
+
 class TestSetPartitions:
     def test_counts_match_bell_numbers(self):
         for n in range(8):
-            assert len(list(enumerate_set_partitions(n))) == bell_number(n)
+            assert len(rendered_partitions(n)) == bell_number(n)
 
     def test_bell_values(self):
         assert [bell_number(n) for n in range(9)] == [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -283,51 +291,30 @@ class TestSetPartitions:
                 bell_number(n)
 
     def test_canonical_form(self):
-        for part in enumerate_set_partitions(5):
+        for part in rendered_partitions(5):
             assert list(part) == sorted(part)
             for block in part:
                 assert list(block) == sorted(block)
 
     def test_partitions_are_distinct_and_cover(self):
-        seen = set(enumerate_set_partitions(4))
+        seen = set(rendered_partitions(4))
         assert len(seen) == 15
         for part in seen:
             assert sorted(i for b in part for i in b) == [0, 1, 2, 3]
 
     def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            list(enumerate_set_partitions(13))
         with pytest.raises(GuardExceeded, match="13 > 12 elements"):
             set_partition_masks([1 << i for i in range(13)])
 
     def test_same_tuples_in_the_same_order_as_the_recursive_generator(self):
-        def recursive(n):
-            # reference: the recursive generator the mask enumerator replaced
-            if n == 0:
-                yield ()
-                return
-
-            def rec(i, blocks):
-                if i == n:
-                    yield tuple(tuple(b) for b in blocks)
-                    return
-                for b in blocks:
-                    b.append(i)
-                    yield from rec(i + 1, blocks)
-                    b.pop()
-                blocks.append([i])
-                yield from rec(i + 1, blocks)
-                blocks.pop()
-
-            yield from rec(1, [[0]])
-
+        assert list(set_partition_masks([])) == [((), 0)]
         for n in range(10):
-            assert list(enumerate_set_partitions(n)) == list(recursive(n)), n
+            assert rendered_partitions(n) == list(set_partitions(n)), n
 
     def test_mask_totals_are_block_score_sums(self):
         # elements on shuffled bits, a random score per mask: every total is
         # the sum over its blocks, blocks come in order of their least
-        # element, and the partitions read back are enumerate_set_partitions'
+        # element, and the partitions read back are the recursive generator's
         rng = random.Random(45)
         for n in range(7):
             bits = [1 << r for r in rng.sample(range(n), n)]
@@ -335,7 +322,7 @@ class TestSetPartitions:
             members = mask_members(bits)
             got = list(set_partition_masks(bits, score))
             assert [tuple(members[m] for m in masks) for masks, _ in got] == list(
-                enumerate_set_partitions(n)
+                set_partitions(n)
             )
             for masks, total in got:
                 assert total == sum(score[m] for m in masks)
@@ -349,11 +336,10 @@ class TestSetPartitions:
             assert held == tuple(i for i, bit in enumerate(bits) if mask & bit)
 
     def test_sizes_must_be_nonnegative_integers(self):
-        for enumerate_blocks in (enumerate_set_partitions, compositions):
-            assert list(enumerate_blocks(0)) == [()]
-            for n in (-1, True, False, 2.0, "3", None):
-                with pytest.raises(ValidationError):
-                    list(enumerate_blocks(n))
+        assert list(compositions(0)) == [()]
+        for n in (-1, True, False, 2.0, "3", None):
+            with pytest.raises(ValidationError):
+                list(compositions(n))
         assert list(compositions(3)) == [
             ((0, 1, 2),), ((0,), (1, 2)), ((0, 1), (2,)), ((0,), (1,), (2,))
         ]

@@ -14,13 +14,12 @@ from disclosure_games.core import (
     DiscreteInstance,
     GuardExceeded,
     ValidationError,
+    compositions,
     condition_on_messages,
-    enumerate_set_partitions,
 )
 from disclosure_games.game import (
     GameEvaluator,
     _allocation_flags,
-    connected_partitions,
     evaluate_profile,
     rare_lows_regression,
     full_disclosure_profile,
@@ -38,6 +37,7 @@ from disclosure_games.lpmech import (
     solve_instance,
     verify_mechanism,
 )
+from reference import ranked_by_conditioning
 
 F = Fraction
 
@@ -190,21 +190,25 @@ class TestEvaluateProfile:
 
 
 class TestConnectedPartitions:
+    """The connected search's profiles: one partition per buyer whose blocks
+    are runs of that buyer's types in value order."""
+
     def test_counts_are_powers_of_two(self):
-        for n, inst in [
-            (3, TWO_BUYERS_123),
-            (4, TWO_GOODS_INDEPENDENT),
+        # 2^(n-1) connected partitions per buyer of n types
+        for count, inst in [
+            (4 * 4, TWO_BUYERS_123),
+            (8, TWO_GOODS_INDEPENDENT),
         ]:
-            parts = connected_partitions(inst, 0)
-            assert len(parts) == 2 ** (n - 1)
-            assert len(set(parts)) == len(parts)
+            profiles = [profile for profile, _ in search_profiles(inst, True)]
+            assert len(profiles) == count
+            assert len(set(profiles)) == count
 
     def test_blocks_are_contiguous_in_value_order(self):
         # types listed out of value order on purpose
         inst = DiscreteInstance.build(
             1, [[("1/3", ["3"]), ("1/3", ["1"]), ("1/3", ["2"])]]
         )
-        parts = connected_partitions(inst, 0)
+        parts = [part for (part,), _ in search_profiles(inst, True)]
         assert len(parts) == 4
         values = [t.values[0] for t in inst.buyers[0]]
         for part in parts:
@@ -274,9 +278,8 @@ class TestSearch:
         def refuse(*args, **kwargs):
             raise AssertionError("partitions listed before the guard")
 
-        monkeypatch.setattr(game, "enumerate_set_partitions", refuse)
         monkeypatch.setattr(game, "set_partition_masks", refuse)
-        monkeypatch.setattr(game, "connected_partitions", refuse)
+        monkeypatch.setattr(game, "compositions", refuse)
         with pytest.raises(GuardExceeded, match=f"would evaluate {count} > 1000000 profiles"):
             search_profiles(inst, connected_only)
 
@@ -286,9 +289,8 @@ class TestSearch:
             raise AssertionError("partitions listed before the guard")
 
         monkeypatch.setattr(game, "SEARCH_GUARD", 15)
-        monkeypatch.setattr(game, "enumerate_set_partitions", refuse)
         monkeypatch.setattr(game, "set_partition_masks", refuse)
-        monkeypatch.setattr(game, "connected_partitions", refuse)
+        monkeypatch.setattr(game, "compositions", refuse)
         # an LP-path instance, and a one-buyer one on the posted-price path
         one_buyer = DiscreteInstance.build(1, [[("1/5", [str(i)]) for i in range(5)]])
         for inst in (TWO_BUYERS_123, one_buyer):
@@ -347,11 +349,13 @@ class TestSearchBest:
 
     @pytest.mark.parametrize("connected_only", [False, True])
     def test_is_the_first_ranked_row(self, connected_only):
-        instances = [AUCTION_123, MENU_FOUR_TYPES, TWO_BUYERS_123]
+        instances = [AUCTION_123, MENU_FOUR_TYPES, TWO_BUYERS_123, TWO_GOODS_INDEPENDENT]
+        # one buyer with two goods: the tie-only walk over LP block scores
+        instances += [inst for inst in lp_path_corpus() if inst.n_buyers == 1]
         instances += [
             reduce_to_buyer_opt(pp).instance for pp in sweep_size_lists(4, 6)
         ]
-        assert len(instances) == 3 + 109
+        assert len(instances) == 4 + 4 + 109
         for inst in instances:
             profile, outcome = search_best(inst, connected_only)
             want_profile, want = search_profiles(inst, connected_only)[0]
@@ -401,6 +405,73 @@ class TestSearchBestTheorems:
                      for t in prior)
             assert connected <= outcome.total_surplus <= mean - pi, (inst, connected, pi)
             assert outcome.expected_revenue >= pi, inst
+
+
+def lp_path_corpus() -> list[DiscreteInstance]:
+    """Seeded instances off the posted-price path: 1-3 buyers, 1-2 goods (two
+    goods when there is one buyer), 2-4 types a buyer, values 0-4 with
+    zeros common, types listed in random order."""
+    rng = random.Random(2154)
+    corpus = []
+    for n_buyers, goods, most in [(1, 2, 4), (2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 2, 2)] * 4:
+        cells = list(itertools.product(range(5), repeat=goods))
+        buyers = []
+        for _ in range(n_buyers):
+            values = rng.sample(cells, rng.randint(2, most))
+            weights = [rng.randint(1, 4) for _ in values]
+            buyers.append(tuple(
+                BuyerType(F(w, sum(weights)), tuple(map(F, v))) for w, v in zip(weights, values)
+            ))
+        corpus.append(DiscreteInstance(goods, tuple(buyers)))
+    return corpus
+
+
+class TestLpSearchTheorems:
+    """The LP search path against facts that need no second search:
+    welfare caps every profile, one buyer never loses revenue to
+    disclosure, and relabelling types or buyers keeps the ranked totals.
+    The welfare is computed here over the priors, in ``Fraction``."""
+
+    @staticmethod
+    def welfare(inst):
+        """E[sum over goods of the highest value for it]: each good sold
+        to a buyer valuing it most, at every joint type."""
+        total = F(0)
+        for types in itertools.product(*inst.buyers):
+            weight = F(1)
+            for t in types:
+                weight *= t.prob
+            total += weight * sum(max(t.values[k] for t in types) for k in range(inst.goods))
+        return total
+
+    @staticmethod
+    def totals(inst):
+        return sorted(out.total_surplus for _, out in search_profiles(inst))
+
+    def test_welfare_caps_and_one_buyer_revenue_floor(self):
+        rows = with_zeros = 0
+        for inst in lp_path_corpus():
+            results = search_profiles(inst)
+            cap = self.welfare(inst)
+            for _, out in results:
+                assert out.expected_revenue + out.total_surplus <= cap, inst
+            if inst.n_buyers == 1:
+                silent = dict(results)[no_disclosure_profile(inst)].expected_revenue
+                assert all(out.expected_revenue >= silent for _, out in results), inst
+            rows += len(results)
+            with_zeros += any(v == 0 for prior in inst.buyers for t in prior for v in t.values)
+        assert rows > 200 and with_zeros > 5
+
+    def test_relabelling_types_or_buyers_keeps_the_ranked_totals(self):
+        rng = random.Random(2155)
+        for inst in lp_path_corpus():
+            want = self.totals(inst)
+            j = rng.randrange(inst.n_buyers)
+            prior = list(inst.buyers[j])
+            rng.shuffle(prior)
+            buyers = inst.buyers[:j] + (tuple(prior),) + inst.buyers[j + 1 :]
+            assert self.totals(DiscreteInstance(inst.goods, buyers)) == want, inst
+            assert self.totals(DiscreteInstance(inst.goods, inst.buyers[::-1])) == want, inst
 
 
 class TestRareLowsRegression:
@@ -492,9 +563,9 @@ class TestPostedPriceEntries:
         w_scale, scale = evaluator._w_scale, evaluator._scale
         for block in every_message(inst):
             # each block's entry as the block memo holds it
-            mask = evaluator._mask(block)
+            mask = sum(evaluator._bits[0][i] for i in block)
+            rev, utilities, _, sold, eff = evaluator._sums(((mask,),))
             mass = evaluator._blocks[mask][0]
-            rev, utilities, _, sold, eff = evaluator._mask_sums((mask,))
             # int numerators: the mass over W, revenue and utility over V W
             assert all(type(x) is int for x in (mass, rev, *utilities))
             got = (
@@ -544,7 +615,7 @@ class TestPostedPriceEntries:
             ascending._price(range(1, 2 ** inst.n_types(0)))
             for block in reversed(list(every_message(inst))):
                 pairs = [(values[i][0], probs[i]) for i in reversed(form.orders[0]) if i in block]
-                mask = sum(on_demand._bits[i] for i in block)
+                mask = sum(on_demand._bits[0][i] for i in block)
                 want = (
                     sum(w for _, w in pairs),
                     sum(v * w for v, w in pairs),
@@ -589,27 +660,14 @@ def one_buyer_one_good(draw) -> DiscreteInstance:
 
 class TestIntSearchAgainstFractions:
     """One buyer, one good: the int sums and the int ranking of
-    ``search_profiles`` against conditioning, one solve per block, sums in
-    ``Fraction`` and a sort on ``Fraction`` totals."""
-
-    @staticmethod
-    def oracle(inst):
-        rows = []
-        for part in enumerate_set_partitions(inst.n_types(0)):
-            revenue = utility = F(0)
-            for block in part:
-                cond = condition_on_messages(inst, [block])
-                sol = solve_instance(cond.instance)
-                revenue += cond.masses[0] * sol.revenue
-                utility += cond.masses[0] * sol.buyer_surplus
-            rows.append(((part,), revenue, (utility,), utility))
-        rows.sort(key=lambda row: (-row[3], row[0]))
-        return rows
+    ``search_profiles`` against conditioning, one solve per block of the
+    recursive reference generator's partitions, sums in ``Fraction`` and a
+    sort on ``Fraction`` totals (``reference.ranked_by_conditioning``)."""
 
     @settings(max_examples=40, deadline=None)
     @given(one_buyer_one_good())
     def test_search_matches_the_oracle(self, inst):
-        want = self.oracle(inst)
+        want = ranked_by_conditioning(inst)
         results = search_profiles(inst)
         got = [
             (profile, out.expected_revenue, out.per_buyer_utility, out.total_surplus)
@@ -623,7 +681,12 @@ class TestIntSearchAgainstFractions:
             cond = condition_on_messages(inst, messages)
             assert prob == cond.masses[0]
             assert sol.revenue == solve_instance(cond.instance).revenue
-        connected = {(part,) for part in connected_partitions(inst, 0)}
+        # a connected partition's blocks are runs of the types in value order
+        order = inst.ints.orders[0]
+        connected = {
+            (tuple(sorted(tuple(sorted(order[i] for i in run)) for run in runs)),)
+            for runs in compositions(len(order))
+        }
         got = [
             (profile, out.expected_revenue, out.per_buyer_utility, out.total_surplus)
             for profile, out in search_profiles(inst, connected_only=True)

@@ -14,13 +14,14 @@ import pytest
 
 from disclosure_games import core
 from disclosure_games.acceptance import AUCTION_123
+from disclosure_games.core import DiscreteInstance
 from disclosure_games.dpconnected import (
     SingleBuyerInstance,
     brute_force_connected,
     buyer_utility,
     optimal_connected,
 )
-from disclosure_games.game import search_best
+from disclosure_games.game import search_best, search_profiles
 from disclosure_games.hardness import (
     PartitionProblem,
     reduce_to_buyer_opt,
@@ -28,6 +29,7 @@ from disclosure_games.hardness import (
 )
 from disclosure_games.lpmech import solve_instance, uniform_grid_instance
 from disclosure_games.myerson import myerson_optimum
+from reference import ranked_by_conditioning
 
 SRC = Path(core.__file__).resolve().parent
 
@@ -127,3 +129,28 @@ def test_myerson_closed_form_and_the_lp_share_nothing(inst):
     assert shared <= set(MYERSON_ALLOWED), sorted(shared - set(MYERSON_ALLOWED))
     assert "myerson.ironed_virtual_values" in closed - lp
     assert {"lpmech.build_lp", "simplex.ExactSimplex.solve_lexicographic"} <= lp - closed
+
+
+# the one-good search (``search_profiles``' block memo, mask walk and int
+# ranking) and its oracle in tests/reference.py, which conditions on each
+# block of the recursive generator's partitions and solves it
+ONE_GOOD_SEARCH_ALLOWED = {
+    "core.DiscreteInstance.n_buyers": (
+        "the number of buyers, len(buyers): it shapes both sides and prices nothing"
+    ),
+    "core.DiscreteInstance.n_types": (
+        "the number of types, len(buyers[j]): it sizes both sides and prices nothing"
+    ),
+}
+
+
+def test_one_good_search_and_its_oracle_share_only_the_instance():
+    pairs = [("1/6", ["0"]), ("1/6", ["4"]), ("1/3", ["1"]), ("1/6", ["3"]), ("1/6", ["2"])]
+    # an instance of its own for each side, each built and validated before the trace
+    for_search, for_oracle = DiscreteInstance.build(1, [pairs]), DiscreteInstance.build(1, [pairs])
+    search = executed(lambda: search_profiles(for_search))
+    oracle = executed(lambda: ranked_by_conditioning(for_oracle))
+    shared = search & oracle
+    assert shared <= set(ONE_GOOD_SEARCH_ALLOWED), sorted(shared - set(ONE_GOOD_SEARCH_ALLOWED))
+    assert {"game.GameEvaluator._price", "core.set_partition_masks"} <= search - oracle
+    assert {"core.condition_on_messages", "lpmech.best_posted_price"} <= oracle - search

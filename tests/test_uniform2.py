@@ -348,6 +348,15 @@ class TestGeometryInputs:
         types = [tuple(map(type, pt)) for pt in third]
         assert types == [(F, int), (int, int), (int, int), (F, int)]
 
+    def test_a_closed_ring_loses_its_repeated_vertex(self):
+        # the last vertex repeats the first; nothing is clipped away
+        ring = [(0, 0), (1, 0), (1, 1), (0, 0)]
+        assert clip_halfplane(ring, 1, 0, -5) == [(0, 0), (1, 0), (1, 1)]
+
+    def test_a_triangle_touching_the_line_clips_to_that_vertex(self):
+        # a single kept vertex is both the first and the last one, and stays
+        assert clip_halfplane([(0, 0), (-1, -2), (-2, -1)], 1, 1, 0) == [(0, 0)]
+
 
 class TestProfileSurplus:
     def test_half_half_rows(self):
