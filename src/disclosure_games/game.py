@@ -34,9 +34,8 @@ a connected search the compositions of the value ranks), scores each
 profile of their product once, and ranks it on (-total surplus,
 canonical profile) with the total exact.  It builds a ``GameOutcome``
 only for a row that is read: ``search_profiles`` builds every row,
-``search_best`` the best one alone.  With one buyer a profile's total is
-additive over blocks, so a full ``search_best`` scores each block once
-and builds masks only for ties.
+``search_best`` the best one alone.  With one buyer and one good, a full
+``search_best`` scores each block once and builds masks only for ties.
 """
 
 from __future__ import annotations
@@ -160,7 +159,9 @@ class GameEvaluator:
         hit = self._cache.get(masks)
         if hit is not None:
             return hit
-        messages = tuple(members[m] for members, m in zip(self._members, masks))
+        messages = tuple(
+            tuple(i for i, b in enumerate(bits) if m & b) for bits, m in zip(self._bits, masks)
+        )
         cond = condition_on_messages(self.instance, messages)
         prob = Fraction(1)
         for mass in cond.masses:
@@ -193,31 +194,39 @@ class GameEvaluator:
             blocks[mask] = add_lowest_type(blocks[mask ^ low], *ranked[low.bit_length() - 1])
 
     def _block_scores(self) -> list:
-        """One buyer: every block's total surplus over ``_scale``, by mask (0
-        the empty block), all 2^n - 1 blocks priced."""
+        """One buyer, one good: every block's utility over ``_scale``, by mask
+        (0 the empty block), all 2^n - 1 blocks priced."""
         full = range(1, 1 << len(self._bits[0]))
-        if self._form is None:
-            return [0] + [self._entry((m,))[3][0] for m in full]
         self._price(full)
         return [0] + [self._blocks[m][2][1] for m in full]
 
     @cached_property
     def _members(self) -> list[list[tuple[int, ...]]]:
-        """Per buyer, each block mask's sorted type indices, indexed by mask."""
+        """Per buyer, each block mask's sorted type indices, indexed by mask:
+        2^n entries a buyer, so built for searches alone, after their guard."""
         return [mask_members(bits) for bits in self._bits]
 
     def _profile(self, masks: tuple[tuple[int, ...], ...]) -> tuple[SetPartition, ...]:
         """The canonical profile of block masks, one tuple per buyer."""
-        return tuple(
+        # a list, not a generator: this runs once per ranked row
+        return tuple([
             tuple(sorted(map(members.__getitem__, part)))
             for members, part in zip(self._members, masks)
+        ])
+
+    def _masks(self, profile: Iterable[Sequence[Sequence[int]]]) -> tuple[tuple[int, ...], ...]:
+        """The block masks of a profile of type indices, one tuple per buyer."""
+        return tuple(
+            tuple(sum(map(bits.__getitem__, block)) for block in part)
+            for bits, part in zip(self._bits, profile)
         )
 
     def _solution(self, messages: tuple[tuple[int, ...], ...]) -> tuple[Fraction, LPSolution]:
         """A message tuple's probability and conditioned solution.  A
         posted-price message's probability is its mass in the block memo, and
         its mechanism is solved on each read: only reports read it."""
-        masks = tuple(sum(map(bits.__getitem__, block)) for bits, block in zip(self._bits, messages))
+        # each buyer's message as a partition of one block
+        masks = tuple(m for (m,) in self._masks(zip(messages)))
         if self._form is None:
             return self._entry(masks)[:2]
         prob = Fraction(self._block(masks[0])[0], self._w_scale)
@@ -235,18 +244,14 @@ class GameEvaluator:
         profile = tuple(
             validate_partition(part, inst.n_types(j)) for j, part in enumerate(profile)
         )
-        masks = tuple(
-            tuple(sum(map(bits.__getitem__, block)) for block in part)
-            for bits, part in zip(self._bits, profile)
-        )
-        return self._outcome(profile, self._sums(masks))
+        return self._outcome(profile, self._sums(self._masks(profile)))
 
     def _sums(self, masks: tuple[tuple[int, ...], ...]) -> tuple:
         """A profile's sums over its messages, from its block masks (one
         tuple per buyer), over ``_scale``: (revenue, each buyer's utility,
         total surplus, all sold, efficient)."""
         if self._form is not None:
-            blocks, block = self._blocks, self._block
+            blocks, block, ranked = self._blocks, self._block, self._ranked
             revenue = utility = 0
             sold = True
             for mask in masks[0]:
@@ -254,7 +259,7 @@ class GameEvaluator:
                 revenue += rev
                 utility += util
                 # all sold (with one buyer, efficient too) when priced at its lowest value
-                sold = sold and rev > 0 and price == self._ranked[(mask & -mask).bit_length() - 1][0]
+                sold = sold and rev > 0 and price == ranked[(mask & -mask).bit_length() - 1][0]
             return revenue, (utility,), utility, sold, sold
         # the inline get saves a call per cached message: this loop is a search's hot path
         cache, entry = self._cache, self._entry
@@ -334,8 +339,10 @@ def _ranking(evaluator: GameEvaluator, connected_only: bool) -> list[tuple[tuple
         else [masks for masks, _ in set_partition_masks(bits)]
         for bits in evaluator._bits
     ]
-    scored = [(masks, evaluator._sums(masks)) for masks in itertools.product(*per_buyer)]
-    return [((-s[2], evaluator._profile(masks)), s) for masks, s in scored]
+    sums, profile = evaluator._sums, evaluator._profile
+    return [
+        ((-(s := sums(masks))[2], profile(masks)), s) for masks in itertools.product(*per_buyer)
+    ]
 
 
 def search_profiles(
@@ -359,14 +366,14 @@ def search_best(
 ) -> tuple[tuple[SetPartition, ...], GameOutcome]:
     """``search_profiles(inst, connected_only)[0]``, building one ``GameOutcome``.
 
-    With one buyer the total is additive over blocks, so a full search
-    scores each block once (``_block_scores``) and places the last type
-    inline, in ``set_partition_masks``' order, into each partition of the
-    others: it builds Bell(n - 1) mask tuples and the ties at the best
-    total, not Bell(n).  Other searches take the least row of ``_ranking``.
+    A full posted-price search scores each block once (``_block_scores``)
+    and places the last type inline, in ``set_partition_masks``' order, into
+    each partition of the others, so it builds Bell(n - 1) mask tuples and
+    the ties at the best total, not Bell(n).  Other searches take the least
+    row of ``_ranking``.
     """
     evaluator = _search_evaluator(inst, connected_only)
-    if inst.n_buyers > 1 or connected_only:
+    if evaluator._form is None or connected_only:
         key, sums = min(_ranking(evaluator, connected_only), key=itemgetter(0))
         return key[1], evaluator._outcome(key[1], sums)
     best, tied = -1, []  # a total is a sum of utilities, never negative

@@ -350,7 +350,7 @@ class TestSearchBest:
     @pytest.mark.parametrize("connected_only", [False, True])
     def test_is_the_first_ranked_row(self, connected_only):
         instances = [AUCTION_123, MENU_FOUR_TYPES, TWO_BUYERS_123, TWO_GOODS_INDEPENDENT]
-        # one buyer with two goods: the tie-only walk over LP block scores
+        # one buyer with two goods: the least ranked row on the LP path
         instances += [inst for inst in lp_path_corpus() if inst.n_buyers == 1]
         instances += [
             reduce_to_buyer_opt(pp).instance for pp in sweep_size_lists(4, 6)
@@ -516,6 +516,25 @@ class TestEvaluatorCache:
         evaluator.evaluate((((0, 1, 2),), ((0,), (1, 2))))
         # 7 nonempty subsets per buyer at most; far fewer actually used
         assert len(evaluator._cache) == 3
+
+    def test_evaluate_lists_no_table_of_all_blocks(self, monkeypatch):
+        """An LP entry reads its masks back as type indices without a table
+        of all 2^n blocks: with 25 types such a table would hold 33M tuples
+        before the first solve."""
+
+        def refuse(*args):
+            raise AssertionError("a table of every block mask was built")
+
+        monkeypatch.setattr(game, "mask_members", refuse)
+        n = 25
+        prior = tuple(BuyerType(F(1, n), (F(i % 5), F(i // 5))) for i in range(n))
+        inst = DiscreteInstance(2, (prior,))
+        evaluator = GameEvaluator(inst)
+        outcome = evaluator.evaluate(full_disclosure_profile(inst))
+        assert (outcome.expected_revenue, outcome.total_surplus) == (4, 0)
+        assert len(outcome.per_message) == len(evaluator._cache) == n
+        assert outcome.unsold_probability(0) == F(1, 5)  # the five types of value 0
+        assert "_members" not in vars(evaluator)
 
 
 def one_buyer_corpus() -> list[DiscreteInstance]:
