@@ -1,4 +1,4 @@
-"""Bounded-exhaustive census: every instance of four small spaces, hashed.
+"""Bounded-exhaustive census: every instance of five small spaces, hashed.
 
     PYTHONPATH=src python tests/census.py
 
@@ -11,11 +11,21 @@ based on Java predicates", ISSTA).  For each instance the census hashes:
 - the probability and the vertex (q, r) of every message tuple of the
   full- and no-disclosure profiles.
 
+The fifth space is the two-uniform-buyer layer: every interval partition
+of [0, 1] with breakpoints on the 1/d grid, plus ``None`` (disclosing
+exactly), for each buyer.  For each ordered pair the census hashes every
+``profile_surplus`` row (both segments, the probability and both
+utilities; pairs of two partitions only) and the ``efficiency_witness``
+result (both values, the kind, the replayed winner and payment).
+``PINNED_UNIFORM`` holds, per d, the counts (partitions, pairs, rows,
+witnesses) and one sha256.
+
 ``PINNED`` holds, per space, the counts (instances, rows, vertices) and
 one sha256.  A change that moves a digest has changed an exact answer;
 one that moves a count has changed the space.  Tier-1 runs a fixed slice
-(``tests/test_census.py``); run as a script, this checks the whole census
-and exits 1 on any difference.
+and the uniform space at d = 6 (``tests/test_census.py``); run as a
+script, this checks the whole census, the uniform space at d = 6 and 8
+included, and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -25,13 +35,14 @@ import itertools
 import sys
 from fractions import Fraction
 
-from disclosure_games.core import DiscreteInstance
+from disclosure_games.core import DiscreteInstance, IntervalPartition
 from disclosure_games.game import (
     evaluate_profile,
     full_disclosure_profile,
     no_disclosure_profile,
     search_profiles,
 )
+from disclosure_games.uniform2 import efficiency_witness, profile_surplus
 
 F = Fraction
 PROBS = (F(1, 3), F(1, 2), F(2, 3))
@@ -103,6 +114,13 @@ PINNED_SLICE = {
 }
 
 
+# d -> (partitions, pairs, rows, witnesses, sha256) of the uniform space
+PINNED_UNIFORM = {
+    6: (33, 1089, 12544, 1089, "fa6ae0bb23f1c0f269a38dbf9763301c0a0578f33d02300bc1481ecae8394f2b"),
+    8: (129, 16641, 331776, 16641, "03df366852c3bdffa3bb83569763439d4ce942f542900ec4822dd377b66b27a4"),
+}
+
+
 def text(x) -> str:
     """An exact, version-independent rendering of nested tuples of numbers."""
     if isinstance(x, (tuple, list)):
@@ -133,6 +151,41 @@ def census(instances) -> tuple[int, int, int, str]:
     return n_instances, n_rows, n_vertices, digest.hexdigest()
 
 
+def grid_partitions(d: int) -> list:
+    """``None`` and every interval partition with breakpoints on the 1/d
+    grid, the interior breakpoints k/d read off the bits of a mask:
+    2^(d-1) + 1 entries."""
+    inner = range(1, d)
+    return [None] + [
+        IntervalPartition((F(0), *(F(k, d) for k in inner if mask >> (k - 1) & 1), F(1)))
+        for mask in range(2 ** (d - 1))
+    ]
+
+
+def uniform_census(d: int) -> tuple[int, int, int, int, str]:
+    """(partitions, pairs, rows, witnesses, sha256) of the uniform space on
+    the 1/d grid."""
+    digest = hashlib.sha256()
+    partitions = grid_partitions(d)
+    n_pairs = n_rows = n_witnesses = 0
+    for pa, pb in itertools.product(partitions, repeat=2):
+        n_pairs += 1
+        digest.update(b"pair\n")
+        if pa is not None and pb is not None:
+            for row in profile_surplus(pa, pb).rows:
+                n_rows += 1
+                cells = (
+                    row.seg_a.a, row.seg_a.b, row.seg_b.a, row.seg_b.b, row.prob, row.u_a, row.u_b,
+                )
+                digest.update(f"row {text(cells)}\n".encode())
+        w = efficiency_witness(pa, pb)
+        if not isinstance(w, str):
+            w = (w.v_a, w.v_b, w.kind, w.outcome.winner, w.outcome.payment)
+        n_witnesses += 1
+        digest.update(f"witness {text(w)}\n".encode())
+    return len(partitions), n_pairs, n_rows, n_witnesses, digest.hexdigest()
+
+
 def main() -> int:
     bad = 0
     for name, build in SPACES.items():
@@ -140,6 +193,11 @@ def main() -> int:
         ok = got == PINNED.get(name)
         bad += not ok
         print(f"{'ok' if ok else 'MOVED':6} space {name}: {got}")
+    for d, pinned in PINNED_UNIFORM.items():
+        got = uniform_census(d)
+        ok = got == pinned
+        bad += not ok
+        print(f"{'ok' if ok else 'MOVED':6} uniform d = {d}: {got}")
     return 1 if bad else 0
 
 
