@@ -89,15 +89,15 @@ MUTANTS = (
     ),
     Mutant(
         "src/disclosure_games/game.py",
-        "masks = min(tied, key=evaluator._profile)",
-        "masks = max(tied, key=evaluator._profile)",
+        "part, masks = min((tuple(sorted(_scan(bits, m) for m in t)), t) for t in tied)",
+        "part, masks = max((tuple(sorted(_scan(bits, m) for m in t)), t) for t in tied)",
         "tests/test_game.py::TestSearchBest::test_is_the_first_ranked_row",
         "search_best breaks a posted-price surplus tie toward the larger profile",
     ),
     Mutant(
         "src/disclosure_games/game.py",
-        "tuple(i for i, b in enumerate(bits) if m & b) for bits, m in zip(self._bits, masks)",
-        "tuple(i for i, b in enumerate(bits) if m & b) for bits, m in zip(self._bits[::-1], masks)",
+        "cond = condition_on_messages(self.instance, tuple(map(_scan, self._bits, masks)))",
+        "cond = condition_on_messages(self.instance, tuple(map(_scan, self._bits[::-1], masks)))",
         "tests/test_census.py::test_slice_matches_its_pinned_digest",
         "an LP entry renders each buyer's mask through the other buyer's bits",
     ),
@@ -142,10 +142,10 @@ MUTANTS = (
     ),
     Mutant(
         "src/disclosure_games/core.py",
-        "w_scales.append(w)",
-        "w_scales.append(prior[0].prob.denominator)",
+        "w = lcm(*(t.prob.denominator for t in prior))",
+        "w = 2 * lcm(*(t.prob.denominator for t in prior))",
         "tests/test_core.py::TestIntForm::test_gives_back_every_fraction",
-        "IntForm.w_scales from one denominator",
+        "IntForm.w_scales at twice the lcm",
     ),
     Mutant(
         "src/disclosure_games/lpmech.py",
@@ -182,6 +182,20 @@ MUTANTS = (
         "if values[0] < 0:",
         "tests/test_raise_sites.py::test_dpconnected",
         "SingleBuyerInstance accepts a value-0 type",
+    ),
+    Mutant(
+        "src/disclosure_games/dpconnected.py",
+        "if values[order[0]][0] <= 0:",
+        "if values[order[0]][0] < 0:",
+        "tests/test_dpconnected.py::TestInstanceValidation::test_from_instance_refuses",
+        "SingleBuyerInstance.from_instance accepts a value-0 type",
+    ),
+    Mutant(
+        "src/disclosure_games/hardness.py",
+        "v, g = lcm(*dens), gcd(s, *(2 * size for size in pp.sizes))",
+        "v, g = lcm(*dens), 1",
+        "tests/test_hardness.py::TestIntRoute::test_every_problem_up_to_m_6_and_the_ci_lists",
+        "reduce_to_buyer_opt keeps the probability scale at 3S, not in lowest terms",
     ),
     # exhaustive searches and the reduction checker
     Mutant(

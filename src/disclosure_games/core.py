@@ -122,14 +122,16 @@ class DiscreteInstance:
 
     ``ints``, a field outside ``__init__``, equality, hashing and ``repr``,
     is the instance on int numerators, derived in the pass that validates
-    it; the value and probability checks run on those ints.  ``v_scale``
-    is the lcm of every value denominator and ``values[j][i][k]`` the value
-    of buyer j's type i for good k over it; ``w_scales[j]`` is the lcm of
-    buyer j's probability denominators and ``probs[j][i]`` type i's
-    probability over it, so a joint type's weight is the product of its
-    numerators over the product of the scales.  ``orders[j]`` lists buyer
-    j's types by value vector, lexicographic for several goods: the scales
-    are positive, so the ints keep the rationals' order.
+    it; the value and probability checks run on those ints
+    (``_check_form``).  ``v_scale`` is the lcm of every value denominator
+    and ``values[j][i][k]`` the value of buyer j's type i for good k over
+    it; ``w_scales[j]`` is the lcm of buyer j's probability denominators
+    and ``probs[j][i]`` type i's probability over it, so a joint type's
+    weight is the product of its numerators over the product of the
+    scales.  ``orders[j]`` lists buyer j's types by value vector,
+    lexicographic for several goods: the scales are positive, so the ints
+    keep the rationals' order.  A caller that already holds the form
+    builds the instance with ``_from_form``, which derives nothing.
     """
 
     goods: int
@@ -158,23 +160,10 @@ class DiscreteInstance:
                 for x in (t.prob, *t.values):
                     if type(x) is not Fraction and type(x) is not int:  # else skip the f-string
                         require_exact(x, f"buyer {j} type {i}: probability or value")
-                if t.prob.numerator <= 0:
-                    raise ValidationError(f"buyer {j} type {i}: prob must be positive")
-                if len(t.values) != self.goods:
-                    raise ValidationError(
-                        f"buyer {j} type {i}: expected {self.goods} values, got {len(t.values)}"
-                    )
-                if any(v.numerator < 0 for v in t.values):
-                    raise ValidationError(f"buyer {j} type {i}: values must be nonnegative")
             w = lcm(*(t.prob.denominator for t in prior))
             nums = tuple(t.prob.numerator * (w // t.prob.denominator) for t in prior)
-            if sum(nums) != w:
-                total = format_rational(Fraction(sum(nums), w))
-                raise ValidationError(f"buyer {j}: type probabilities sum to {total}, expected 1")
             u = lcm(*(v.denominator for t in prior for v in t.values))  # buyer j's own value lcm
             vecs = tuple(tuple(v.numerator * (u // v.denominator) for v in t.values) for t in prior)
-            if len(set(vecs)) != len(prior):
-                raise ValidationError(f"buyer {j}: duplicate type value vectors")
             values.append((u, vecs))
             w_scales.append(w)
             probs.append(nums)
@@ -186,6 +175,37 @@ class DiscreteInstance:
         orders = tuple(tuple(sorted(range(len(nums)), key=nums.__getitem__)) for nums in values)
         form = IntForm(v_scale, values, tuple(w_scales), tuple(probs), orders)
         object.__setattr__(self, "ints", form)
+        self._check_form()
+
+    @classmethod
+    def _from_form(cls, buyers: tuple[tuple[BuyerType, ...], ...], form: IntForm):
+        """``cls`` on ``buyers`` and the form ``__post_init__`` would derive from
+        them, unchecked: ``_check_form`` is the caller's, as is the form."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "goods", len(buyers[0][0].values))
+        object.__setattr__(inst, "buyers", buyers)
+        object.__setattr__(inst, "ints", form)
+        return inst
+
+    def _check_form(self) -> None:
+        """The checks past exactness, on ``ints``, buyer by buyer, in the order
+        of their messages."""
+        form = self.ints
+        for j, (w, nums, vecs) in enumerate(zip(form.w_scales, form.probs, form.values), 1):
+            for i, (p, vec) in enumerate(zip(nums, vecs), 1):
+                if p <= 0:
+                    raise ValidationError(f"buyer {j} type {i}: prob must be positive")
+                if len(vec) != self.goods:
+                    raise ValidationError(
+                        f"buyer {j} type {i}: expected {self.goods} values, got {len(vec)}"
+                    )
+                if min(vec) < 0:  # vec has goods >= 1 entries
+                    raise ValidationError(f"buyer {j} type {i}: values must be nonnegative")
+            if sum(nums) != w:
+                total = format_rational(Fraction(sum(nums), w))
+                raise ValidationError(f"buyer {j}: type probabilities sum to {total}, expected 1")
+            if len(set(vecs)) != len(vecs):
+                raise ValidationError(f"buyer {j}: duplicate type value vectors")
 
     @property
     def n_buyers(self) -> int:

@@ -11,6 +11,9 @@ A ``SingleBuyerInstance`` is a ``DiscreteInstance`` with one buyer and one
 good whose types come in strictly increasing order of positive value: it
 validates as any instance does, deriving the int form
 (``DiscreteInstance.ints``), then checks its own conditions on those ints.
+``from_instance`` (and so ``build``) takes an instance that is validated
+already: it reorders its types and int rows by value and checks only
+that the values are positive, so no instance is validated twice.
 Sums are int numerators over V W, the product of the form's scales.  For
 each i the DP walks j down from i - 1 to 0, extending one running block
 {j+1..i} by type j+1 in one ``core.add_lowest_type`` step, the game
@@ -26,6 +29,7 @@ by its Bellman inequalities past the brute force's guard.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -55,8 +59,8 @@ class SingleBuyerInstance(DiscreteInstance):
             raise ValidationError("need matching nonempty values and probabilities")
         super().__init__(1, (tuple(BuyerType(p, (v,)) for v, p in zip(values, probs)),))
 
-    def __post_init__(self):
-        super().__post_init__()  # checks exactness and probabilities
+    def _check_form(self) -> None:
+        super()._check_form()  # probabilities and nonnegative values
         values = [vector[0] for vector in self.ints.values[0]]  # over V > 0: same order
         if values[0] <= 0:
             raise ValidationError("values must be positive")
@@ -82,11 +86,18 @@ class SingleBuyerInstance(DiscreteInstance):
 
     @staticmethod
     def from_instance(inst: DiscreteInstance) -> "SingleBuyerInstance":
+        """The validated ``inst`` with its types and int rows in value order:
+        distinct sorted values increase, so only their sign is left to check."""
         if inst.n_buyers != 1 or inst.goods != 1:
             raise ValidationError("expected exactly one buyer and one good")
-        prior, order = inst.buyers[0], inst.ints.orders[0]
-        return SingleBuyerInstance(
-            tuple(prior[i].values[0] for i in order), tuple(prior[i].prob for i in order)
+        form, order = inst.ints, inst.ints.orders[0]
+        values, probs = form.values[0], form.probs[0]
+        if values[order[0]][0] <= 0:
+            raise ValidationError("values must be positive")
+        return SingleBuyerInstance._from_form(
+            (tuple(inst.buyers[0][i] for i in order),),
+            replace(form, values=(tuple(values[i] for i in order),),
+                    probs=(tuple(probs[i] for i in order),), orders=(tuple(range(len(order))),)),
         )
 
 

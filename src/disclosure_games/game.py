@@ -36,6 +36,8 @@ canonical profile) with the total exact.  It builds a ``GameOutcome``
 only for a row that is read: ``search_profiles`` builds every row,
 ``search_best`` the best one alone.  With one buyer and one good, a full
 ``search_best`` scores each block once and builds masks only for ties.
+Masks read back as type indices by a bit scan (``_scan``); only
+``_ranking``, past the search guard, reads a table of all 2^n masks.
 """
 
 from __future__ import annotations
@@ -123,6 +125,12 @@ def _allocation_flags(sol: LPSolution) -> tuple[bool, bool]:
     return all_sold, efficient
 
 
+def _scan(bits: Sequence[int], mask: int) -> tuple[int, ...]:
+    """A block mask's sorted type indices, by a scan of the buyer's bits
+    (``GameEvaluator._bits``): O(n), and no table of all 2^n masks."""
+    return tuple(i for i, b in enumerate(bits) if mask & b)
+
+
 class GameEvaluator:
     """Evaluates partition profiles for one instance, caching one entry per message tuple."""
 
@@ -159,10 +167,7 @@ class GameEvaluator:
         hit = self._cache.get(masks)
         if hit is not None:
             return hit
-        messages = tuple(
-            tuple(i for i, b in enumerate(bits) if m & b) for bits, m in zip(self._bits, masks)
-        )
-        cond = condition_on_messages(self.instance, messages)
+        cond = condition_on_messages(self.instance, tuple(map(_scan, self._bits, masks)))
         prob = Fraction(1)
         for mass in cond.masses:
             prob *= mass
@@ -369,7 +374,8 @@ def search_best(
     A full posted-price search scores each block once (``_block_scores``)
     and places the last type inline, in ``set_partition_masks``' order, into
     each partition of the others, so it builds Bell(n - 1) mask tuples and
-    the ties at the best total, not Bell(n).  Other searches take the least
+    the ties at the best total, not Bell(n); it renders the ties by
+    ``_scan``, building no member table.  Other searches take the least
     row of ``_ranking``.
     """
     evaluator = _search_evaluator(inst, connected_only)
@@ -385,10 +391,10 @@ def search_best(
             if placed >= best:
                 if placed > best:
                     best, tied = placed, []
-                tied.append((masks[:k] + (m | last,) + masks[k + 1 :],))
-    masks = min(tied, key=evaluator._profile)
-    profile = evaluator._profile(masks)
-    return profile, evaluator._outcome(profile, evaluator._sums(masks))
+                tied.append(masks[:k] + (m | last,) + masks[k + 1 :])
+    bits = evaluator._bits[0]
+    part, masks = min((tuple(sorted(_scan(bits, m) for m in t)), t) for t in tied)
+    return (part,), evaluator._outcome((part,), evaluator._sums((masks,)))
 
 
 def search_to_csv(results: Sequence[tuple[tuple[SetPartition, ...], GameOutcome]]) -> str:

@@ -6,14 +6,17 @@ nearly the full sum S, and a pool type worth S/2.  Pooling the pool type
 with a subset I of high types makes the seller price at S/2 exactly when
 I sums to S/2, which leaves the high types in I enough margin to clear
 the target surplus U = S/6 - 1/12; no disclosure scheme reaches U
-otherwise.  The checker runs both brute forces (subset sum and full
-profile search) and compares.  The profile search (``game.search_best``)
-prices each block of the m+1 types once, in one step from the block
-without its lowest-valued type, ranks the set partitions on int totals,
-placing the last type inline, and builds block masks for ties only and
-the outcome of the best one only.  The oracle side, the subset search
-and the pooled witness priced by ``dpconnected.buyer_utility``, runs
-none of that code; a tier-1 test traces both sides to check it.
+otherwise.  The reduced instance is built on its int form, the one
+validation would derive from the rationals, and checked there: nothing
+reads its ``Fraction``s back.  The checker runs both brute forces
+(subset sum and full profile search) and compares.  The profile search
+(``game.search_best``) prices each block of the m+1 types once, in one
+step from the block without its lowest-valued type, ranks the set
+partitions on int totals, placing the last type inline, and builds
+block masks for ties only, rendered by a bit scan, and the outcome of
+the best one only.  The oracle side, the subset search and the pooled
+witness priced by ``dpconnected.buyer_utility``, runs none of that
+code; a tier-1 test traces both sides to check it.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
-from .core import GuardExceeded, SetPartition, ValidationError
+from .core import BuyerType, GuardExceeded, IntForm, SetPartition, ValidationError
 from .dpconnected import SingleBuyerInstance, buyer_utility
 # search_profiles is not called here; perfbench/tracer.py wraps
 # hardness.search_profiles, so the import stays until the benchmark reads
@@ -73,11 +77,22 @@ class BuyerOptInstance:
 
 
 def reduce_to_buyer_opt(pp: PartitionProblem) -> BuyerOptInstance:
+    """Built on its int form and checked there: S - 1/d = (Sd - 1)/d is in
+    lowest terms, so V = lcm(5, ..., 4 + m), and W = 3S/gcd(S, 2s_1, ..., 2s_m)."""
+    s, dens = pp.total, range(5, 5 + len(pp.sizes))
+    v, g = lcm(*dens), gcd(s, *(2 * size for size in pp.sizes))
     # one Fraction each: S - 1/(4+i) = (S(4+i) - 1)/(4+i), S/6 - 1/12 = (2S - 1)/12
-    s, m = pp.total, len(pp.sizes)
-    values = (Fraction(s, 2), *(Fraction(s * (4 + i) - 1, 4 + i) for i in range(1, m + 1)))
-    probs = (Fraction(1, 3), *(Fraction(2 * size, 3 * s) for size in pp.sizes))
-    return BuyerOptInstance(SingleBuyerInstance(values, probs), Fraction(2 * s - 1, 12))
+    prior = (BuyerType(Fraction(1, 3), (Fraction(s, 2),)),) + tuple(
+        BuyerType(Fraction(2 * size, 3 * s), (Fraction(s * d - 1, d),))
+        for size, d in zip(pp.sizes, dens)
+    )
+    values = ((s // 2 * v,),) + tuple(((s * d - 1) * (v // d),) for d in dens)
+    probs = (s // g,) + tuple(2 * size // g for size in pp.sizes)
+    inst = SingleBuyerInstance._from_form(
+        (prior,), IntForm(v, (values,), (3 * s // g,), (probs,), (tuple(range(len(prior))),))
+    )
+    inst._check_form()
+    return BuyerOptInstance(inst, Fraction(2 * s - 1, 12))
 
 
 def solve_partition_bruteforce(pp: PartitionProblem) -> Optional[tuple[int, ...]]:

@@ -70,6 +70,39 @@ class TestInstanceValidation:
         inst = SingleBuyerInstance.build([("1/2", "5"), ("1/2", "3")])
         assert inst.values == (F(3), F(5))
 
+    def test_build_equals_the_public_route_field_for_field(self):
+        """``build`` reorders the validated instance's types and int rows; the
+        result must be what the constructor derives from the sorted pairs."""
+        rng = random.Random(58)
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            values = rng.sample(sorted({F(k, d) for k in range(1, 30) for d in (1, 2, 7)}), n)
+            weights = [rng.randint(1, 9) for _ in range(n)]
+            pairs = [(F(w, sum(weights)), v) for w, v in zip(weights, values)]
+            rng.shuffle(pairs)
+            got = SingleBuyerInstance.build(pairs)
+            ranked = sorted(pairs, key=lambda pair: pair[1])
+            want = SingleBuyerInstance(tuple(v for _, v in ranked), tuple(p for p, _ in ranked))
+            assert type(got) is SingleBuyerInstance
+            assert (got.goods, got.buyers, got.ints) == (want.goods, want.buyers, want.ints)
+
+    @pytest.mark.parametrize(
+        "buyers, message",
+        [
+            ([[("1/2", "1"), ("1/2", "0")]], "values must be positive"),
+            ([[("1", "1")], [("1", "2")]], "expected exactly one buyer and one good"),
+        ],
+        ids=["value-zero", "two-buyers"],
+    )
+    def test_from_instance_refuses(self, buyers, message):
+        inst = DiscreteInstance.build(1, buyers)
+        with pytest.raises(ValidationError) as info:
+            SingleBuyerInstance.from_instance(inst)
+        assert str(info.value) == message
+        if len(buyers) == 1:
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                SingleBuyerInstance.build(buyers[0])
+
     def test_round_trip_through_discrete_instance(self):
         plain = DiscreteInstance(GAP_HALF.goods, GAP_HALF.buyers)
         assert type(plain) is DiscreteInstance and plain != GAP_HALF  # equality within a class

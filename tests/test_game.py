@@ -536,6 +536,20 @@ class TestEvaluatorCache:
         assert outcome.unsold_probability(0) == F(1, 5)  # the five types of value 0
         assert "_members" not in vars(evaluator)
 
+    def test_search_best_renders_ties_without_a_table(self, monkeypatch):
+        """A full posted-price search renders its tied rows by a scan of the
+        bits, so an m = 8 reduction (nine types) builds no member table."""
+
+        def refuse(*args):
+            raise AssertionError("a table of every block mask was built")
+
+        monkeypatch.setattr(game, "mask_members", refuse)
+        reduced = reduce_to_buyer_opt(PartitionProblem(tuple(range(1, 9))))
+        profile, outcome = search_best(reduced.instance)
+        assert profile == outcome.profile and outcome.total_surplus >= reduced.target
+        assert sorted(i for block in profile[0] for i in block) == list(range(9))
+        assert "_members" not in vars(outcome.evaluator)
+
 
 def one_buyer_corpus() -> list[DiscreteInstance]:
     """One-buyer, one-good instances: the named edge cases, then seeded ones."""

@@ -5,6 +5,7 @@ import pytest
 
 from disclosure_games import hardness
 from disclosure_games.core import GuardExceeded, ValidationError
+from disclosure_games.dpconnected import SingleBuyerInstance
 from disclosure_games.hardness import (
     PartitionProblem,
     reduce_to_buyer_opt,
@@ -52,6 +53,34 @@ class TestReduce:
             highs = red.instance.values[1:]
             assert all(s - F(1, 4) < v < s for v in highs)
             assert red.instance.values[0] == F(s, 2)
+
+
+class TestIntRoute:
+    """``reduce_to_buyer_opt`` builds its instance on the int form; that form
+    must be the one the public constructor derives from the same
+    rationals, field for field (``ints`` is outside equality)."""
+
+    @staticmethod
+    def public_route(pp):
+        s, m = pp.total, len(pp.sizes)
+        values = (F(s, 2), *(F(s * (4 + i) - 1, 4 + i) for i in range(1, m + 1)))
+        probs = (F(1, 3), *(F(2 * size, 3 * s) for size in pp.sizes))
+        return SingleBuyerInstance(values, probs)
+
+    def test_every_problem_up_to_m_6_and_the_ci_lists(self):
+        problems = list(sweep_size_lists(6, 8))
+        problems += [PartitionProblem(tuple(range(1, 9))), PartitionProblem((1,) * 7 + (21,))]
+        assert len(problems) == 1520
+        for pp in problems:
+            got, want = reduce_to_buyer_opt(pp).instance, self.public_route(pp)
+            assert type(got) is SingleBuyerInstance
+            assert (got.goods, got.buyers, got.ints) == (want.goods, want.buyers, want.ints), pp
+
+    def test_probability_scale_is_in_lowest_terms(self):
+        # S = 8: probabilities 1/3, 1/6, 1/6, 1/3 over W = 6, not 3S = 24
+        form = reduce_to_buyer_opt(PartitionProblem((2, 2, 4))).instance.ints
+        assert (form.w_scales, form.probs) == ((6,), ((2, 1, 1, 2),))
+        assert form.v_scale == 5 * 6 * 7
 
 
 class TestSubsetBruteForce:
